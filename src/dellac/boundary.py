@@ -3,10 +3,13 @@
 A board of size n has n columns and 2n rows, two dots per column and one per
 row.  Two partitions cut admissible boxes away: ``top`` removes leading boxes
 from the highest rows, ``bottom`` removes trailing boxes from the lowest
-rows.  When both partitions are the staircase (n-1, ..., 1) the admissible
-region is exactly the window of the square-grid family at (1, 2, n), so these
-boards interpolate between that family and the free two-dots-per-column
-boards.
+rows.  Every column keeps one interval of rows, so a board is a window mask
+in the sense of ``grid`` with row capacity 1 and column size 2:
+``board_windows`` builds the mask, ``grid.fillings`` enumerates it and
+``grid.inversions`` counts inversions, exactly as for grid configurations.
+When both partitions are the staircase (n-1, ..., 1) the mask is exactly the
+window of the square-grid family at (1, 2, n), so these boards interpolate
+between that family and the free two-dots-per-column boards.
 
 The q-partition function sums q^inv over all boards with given boundaries.
 It satisfies a family of exact recurrences (expansion by the top row, part
@@ -17,6 +20,7 @@ staircase-bottom family without enumeration.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +28,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+from .grid import Windows, check_columns, fillings, inversions
 from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int
 from .words import inv_word, invert
 
@@ -125,34 +130,39 @@ def _check_boundaries(n: int, top: Partition, bottom: Partition) -> None:
             f"bottom partition {bottom} does not fit on a board of size {n}")
 
 
-def allowed_rows(n: int, top: Partition = (),
-                 bottom: Partition | None = None) -> tuple[Partition, ...]:
-    """Admissible rows (bottom-based) of every column, left to right.
+def board_windows(n: int, top: Iterable[int] = (),
+                  bottom: Iterable[int] | None = None) -> Windows:
+    """The window mask of a board: the (lo, hi) admissible rows
+    (bottom-based) of every column, left to right.
 
-    ``top`` forbids, in the i-th highest row, the leftmost top_i columns;
-    ``bottom`` forbids, in the r-th lowest row (r < n), the rightmost
-    bottom_r columns.  ``bottom=None`` means the staircase.
+    ``top`` forbids, in the i-th highest row, the leftmost top_i columns, so
+    column j loses the highest #{i : top_i >= j} rows; ``bottom`` forbids,
+    in the r-th lowest row (r < n), the rightmost bottom_r columns, so
+    column j loses the lowest #{r : bottom_r > n - j} rows.  ``bottom=None``
+    means the staircase.
     """
     top = normalize(top)
     bottom = staircase(n - 1) if bottom is None else normalize(bottom)
     _check_boundaries(n, top, bottom)
-    cols = []
-    for j in range(1, n + 1):
-        rows = []
-        for r in range(1, 2 * n + 1):
-            i = 2 * n + 1 - r
-            if i <= len(top) and j <= top[i - 1]:
-                continue
-            if r <= len(bottom) and r <= n - 1 and j >= n + 1 - bottom[r - 1]:
-                continue
-            rows.append(r)
-        cols.append(tuple(rows))
-    return tuple(cols)
+    return tuple((1 + sum(1 for b in bottom if b > n - j),
+                  2 * n - sum(1 for t in top if t >= j))
+                 for j in range(1, n + 1))
+
+
+def allowed_rows(n: int, top: Iterable[int] = (),
+                 bottom: Iterable[int] | None = None) -> tuple[Partition, ...]:
+    """Admissible rows of every column: ``board_windows`` spelled out."""
+    return tuple(tuple(range(lo, hi + 1))
+                 for lo, hi in board_windows(n, top, bottom))
 
 
 @dataclass(frozen=True)
 class BoundaryConfig:
-    """A filled board: two dots per column, one per row, boundaries kept."""
+    """A filled board: two dots per column, one per row, boundaries kept.
+
+    Invalid boards raise the ``grid.ConfigError`` subclasses, as
+    configurations do.
+    """
 
     n: int
     top: Partition
@@ -160,19 +170,8 @@ class BoundaryConfig:
     columns: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        allowed = allowed_rows(self.n, self.top, self.bottom)
-        if len(self.columns) != self.n:
-            raise ValueError(f"expected {self.n} columns")
-        seen: set[int] = set()
-        for j, col in enumerate(self.columns, start=1):
-            if len(col) != 2 or col[0] >= col[1]:
-                raise ValueError(f"column {j} needs two increasing rows")
-            for r in col:
-                if r in seen:
-                    raise ValueError(f"row {r} holds two dots")
-                if r not in allowed[j - 1]:
-                    raise ValueError(f"row {r} of column {j} is forbidden")
-                seen.add(r)
+        windows = board_windows(self.n, self.top, self.bottom)
+        check_columns(self.columns, windows, 1, 2)
 
     @classmethod
     def from_top_dots(cls, n: int, top: Iterable[int], bottom: Iterable[int],
@@ -195,20 +194,6 @@ class BoundaryConfig:
                      for r in col)
 
 
-def inversions(c: BoundaryConfig) -> int:
-    """Dot pairs with one dot strictly higher and strictly left of the
-    other."""
-    dots = c.dots_column_major()
-    total = 0
-    for a in range(len(dots)):
-        ra, ja = dots[a]
-        for b in range(a + 1, len(dots)):
-            rb, jb = dots[b]
-            if jb > ja and rb < ra:
-                total += 1
-    return total
-
-
 def enumerate_boundary(n: int, top: Iterable[int] = (),
                        bottom: Iterable[int] | None = None,
                        ) -> Iterator[BoundaryConfig]:
@@ -218,33 +203,14 @@ def enumerate_boundary(n: int, top: Iterable[int] = (),
     """
     top = normalize(top)
     bottom = staircase(n - 1) if bottom is None else normalize(bottom)
-    allowed = allowed_rows(n, top, bottom)
-    # last admissible column of every row, for dead-end pruning
-    last_col = {r: j for j, rows in enumerate(allowed, start=1) for r in rows}
-    columns: list[tuple[int, int]] = []
-
-    def rec(j: int, used: set[int]) -> Iterator[BoundaryConfig]:
-        if j > n:
-            if len(used) == 2 * n:
-                yield BoundaryConfig(n, top, bottom, tuple(columns))
-            return
-        if any(last_col.get(r, 0) < j
-               for r in range(1, 2 * n + 1) if r not in used):
-            return
-        free = [r for r in allowed[j - 1] if r not in used]
-        for pair in combinations(free, 2):
-            columns.append(pair)
-            used.update(pair)
-            yield from rec(j + 1, used)
-            used.difference_update(pair)
-            columns.pop()
-
-    return rec(1, set())
+    windows = board_windows(n, top, bottom)
+    return (BoundaryConfig(n, top, bottom, columns)
+            for columns, _ in fillings(windows, 1, 2))
 
 
 def count_boundary(n: int, top: Iterable[int] = (),
                    bottom: Iterable[int] | None = None) -> int:
-    return sum(1 for _ in enumerate_boundary(n, top, bottom))
+    return sum(1 for _ in fillings(board_windows(n, top, bottom), 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +219,8 @@ def count_boundary(n: int, top: Iterable[int] = (),
 
 @lru_cache(maxsize=None)
 def _qpf(n: int, top: Partition, bottom: Partition | None) -> QPoly:
-    counts: dict[int, int] = {}
-    for c in enumerate_boundary(n, top, bottom):
-        k = inversions(c)
-        counts[k] = counts.get(k, 0) + 1
-    if not counts:
-        return ZERO
-    out = [0] * (max(counts) + 1)
-    for k, v in counts.items():
-        out[k] = v
-    return QPoly(out)
+    counts = Counter(inv for _, inv in fillings(board_windows(n, top, bottom), 1, 2))
+    return QPoly(counts[k] for k in range(max(counts, default=-1) + 1))
 
 
 def q_partition_function(n: int, top: Iterable[int] = (),

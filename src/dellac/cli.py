@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from math import comb
 
@@ -44,6 +43,7 @@ from dellac.grid import (
     Config,
     ConfigError,
     Params,
+    count_configs,
     dot_inversions,
     enumerate_configs,
     inversions,
@@ -68,6 +68,7 @@ from dellac.words import (
     enumerate_normalized_dumont,
     inv_word,
     recover_pi,
+    st_from_pi,
     st_statistic,
 )
 
@@ -82,7 +83,7 @@ BIJECTION_PARAMS = [(1, 2, 2), (1, 2, 3), (2, 2, 1), (2, 2, 2), (1, 3, 2), (2, 3
 EMBEDDING_PARAMS = [(2, 2, 2), (2, 3, 2), (1, 3, 2), (1, 3, 3)]
 TUPLE_PARAMS = [(1, 2, 3), (2, 2, 2), (1, 3, 2)]
 
-GENOCCHI_PREFIX = (1, 2, 7, 38, 295, 3098, 42271, 726534)
+GENOCCHI_PREFIX = (1, 2, 7, 38, 295, 3098, 42271, 726734)
 
 
 def render_word(word) -> str:
@@ -160,7 +161,7 @@ def cmd_count(args, out) -> int:
         params = Params(args.l, args.m, args.n)
     except ValueError as exc:
         return fail_usage(str(exc))
-    total = sum(1 for _ in enumerate_configs(params))
+    total = count_configs(params)
     if args.format == "csv":
         out.write("l,m,n,count\n")
         out.write(f"{params.l},{params.m},{params.n},{total}\n")
@@ -255,7 +256,7 @@ def _write_target(args, c: Config, out) -> int:
         out.write(dumps({
             "sigma": list(sigma),
             "pi": list(pi),
-            "st": st_statistic(sigma, params),
+            "st": st_from_pi(pi, params.l),
             "sigma_text": render_word(sigma),
             "pi_text": render_word(pi),
         }) + "\n")
@@ -561,11 +562,7 @@ def cmd_verify(args, out) -> int:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         return suite, identity, tag, ok, detail
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run, items))
-    else:
-        results = [run(item) for item in items]
+    results = [run(item) for item in items]
     results.sort(key=lambda r: (r[0], r[1], r[2]))
 
     failed = 0
@@ -602,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", metavar="PATH", default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("enumerate", help="stream every configuration of a grid")
     p.add_argument("--l", type=int, required=True)

@@ -10,14 +10,29 @@ Conventions used throughout the package:
   ceil(j/l) <= row <= ceil(j/l) + (m-1)*n (the staircase window).
 * Column-major dot order: columns left to right, inside a column bottom to
   top.  Row-major dot order: rows bottom to top, inside a row left to right.
+
+Window masks.  Grids and the boards of ``boundary`` are one object: a mask
+of one inclusive (lo, hi) row window per column, a row capacity l and a
+column size m.  A filling of the mask puts m dots in every column, inside
+its window, and l dots in every row.  ``Params.windows()`` builds the
+staircase mask of a grid and ``boundary.board_windows`` the mask of a board
+with trimmed corners (l = 1, m = 2).  ``fillings`` enumerates the fillings
+of any mask with their inversion counts, ``check_columns`` validates one
+filling, and ``inversions`` counts the inversions of either kind of
+configuration.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterator, Optional, Sequence
+
+Columns = tuple[tuple[int, ...], ...]
+Windows = tuple[tuple[int, int], ...]
 
 
 class ConfigError(ValueError):
@@ -65,6 +80,13 @@ class Params:
         """Inclusive row range allowed for dots in column j."""
         lo = (j + self.l - 1) // self.l
         return lo, lo + (self.m - 1) * self.n
+
+    # Every Config validates against this mask.  Params is an immutable
+    # value, so equal instances share one entry: one mask per (l, m, n).
+    @lru_cache(maxsize=None)
+    def windows(self) -> Windows:
+        """The grid's window mask: ``window(j)`` for every column j."""
+        return tuple(self.window(j) for j in range(1, self.cols + 1))
 
     # ------------------------------------------------------------------
     # Row labels and the affixes used to turn a configuration word into a
@@ -151,24 +173,7 @@ class Config:
         cols = tuple(tuple(c) for c in self.columns)
         object.__setattr__(self, "columns", cols)
         p = self.params
-        if len(cols) != p.cols:
-            raise ColumnCountViolation(
-                f"expected {p.cols} columns, got {len(cols)}")
-        row_count = [0] * (p.rows + 1)
-        for j, col in enumerate(cols, start=1):
-            if len(col) != p.m or any(a >= b for a, b in zip(col, col[1:])):
-                raise ColumnCountViolation(
-                    f"column {j} must be {p.m} strictly increasing rows, got {col}")
-            lo, hi = p.window(j)
-            for i in col:
-                if not lo <= i <= hi:
-                    raise WindowViolation(
-                        f"dot ({i},{j}) outside window {lo}..{hi}")
-                row_count[i] += 1
-        for i in range(1, p.rows + 1):
-            if row_count[i] != p.l:
-                raise RowCountViolation(
-                    f"row {i} holds {row_count[i]} dots, expected {p.l}")
+        check_columns(cols, p.windows(), p.l, p.m)
 
     # -- dot orders ----------------------------------------------------
 
@@ -203,17 +208,45 @@ class Config:
         return cls(p, tuple(tuple(int(i) for i in c) for c in d["columns"]))
 
 
-def inversions(c: Config) -> int:
+def check_columns(columns: Sequence[Sequence[int]], windows: Windows,
+                  l: int, m: int) -> None:
+    """Raise a ConfigError unless ``columns`` fills the window mask: one
+    column per window, m strictly increasing rows inside each window, and l
+    dots in each of the len(windows) * m / l rows."""
+    if len(columns) != len(windows):
+        raise ColumnCountViolation(
+            f"expected {len(windows)} columns, got {len(columns)}")
+    rows = len(windows) * m // l
+    row_count = [0] * (rows + 1)
+    for j, (col, (lo, hi)) in enumerate(zip(columns, windows), start=1):
+        if len(col) != m or any(a >= b for a, b in zip(col, col[1:])):
+            raise ColumnCountViolation(
+                f"column {j} must be {m} strictly increasing rows, got {col}")
+        for i in col:
+            if not lo <= i <= hi:
+                raise WindowViolation(
+                    f"dot ({i},{j}) outside window {lo}..{hi}")
+            row_count[i] += 1
+    for i in range(1, rows + 1):
+        if row_count[i] != l:
+            raise RowCountViolation(
+                f"row {i} holds {row_count[i]} dots, expected {l}")
+
+
+def inversions(c) -> int:
     """Number of dot pairs with one dot strictly higher and strictly to the
-    left of the other."""
-    dots = c.dots_column_major()
+    left of the other.
+
+    Reads only ``c.columns``, so it counts grid configurations and boards
+    alike.
+    """
+    earlier: list[int] = []  # rows of the dots left of the column, sorted
     total = 0
-    for a in range(len(dots)):
-        ia, ja = dots[a]
-        for b in range(a + 1, len(dots)):
-            ib, jb = dots[b]
-            if jb > ja and ib < ia:
-                total += 1
+    for col in c.columns:
+        for i in col:
+            total += len(earlier) - bisect_right(earlier, i)
+        for i in col:
+            insort(earlier, i)
     return total
 
 
@@ -467,89 +500,73 @@ def replay_switches(params: Params, steps: Sequence[SwitchStep]) -> Config:
 # Enumeration
 # ---------------------------------------------------------------------------
 
+def fillings(windows: Windows, l: int, m: int) -> Iterator[tuple[Columns, int]]:
+    """Yield (columns, inversion count) for every filling of a window mask,
+    lexicographically by column row-tuples.
+
+    The mask has len(windows) columns and len(windows) * m / l rows.  A row
+    that no window covers can hold no dot, so such a mask has no filling.
+    Inversions are tracked incrementally, and a branch is cut as soon as a
+    row passes its last window without holding l dots.
+    """
+    cols = len(windows)
+    rows = cols * m // l
+    last = [0] * (rows + 1)  # last column whose window holds the row
+    for j, (lo, hi) in enumerate(windows, start=1):
+        for i in range(lo, hi + 1):
+            last[i] = j
+    if 0 in last[1:]:
+        return
+    closing: list[list[int]] = [[] for _ in range(cols + 1)]
+    for i in range(1, rows + 1):
+        closing[last[i]].append(i)
+    cap = [l] * (rows + 1)  # dots row i still needs
+    chosen: list[tuple[int, ...]] = []
+
+    def rec(j: int, inv: int) -> Iterator[tuple[Columns, int]]:
+        # rows whose last window this is must take their last dot here
+        forced = []
+        for i in closing[j]:
+            if cap[i] > 1:
+                return
+            if cap[i]:
+                forced.append(i)
+        if len(forced) > m:
+            return
+        lo, hi = windows[j - 1]
+        # dots of earlier columns strictly above each row of the window
+        above = [0] * (hi + 1)
+        acc = l * (rows - hi) - sum(cap[hi + 1:])
+        for i in range(hi, lo - 1, -1):
+            above[i] = acc
+            acc += l - cap[i]
+        free = [i for i in range(lo, hi + 1) if cap[i] and last[i] > j]
+        base = inv + sum(above[i] for i in forced)
+        for rest in combinations(free, m - len(forced)):
+            pick = tuple(sorted([*rest, *forced])) if forced else rest
+            added = base + sum(map(above.__getitem__, rest))
+            chosen.append(pick)
+            if j == cols:
+                yield tuple(chosen), added
+            else:
+                for i in pick:
+                    cap[i] -= 1
+                yield from rec(j + 1, added)
+                for i in pick:
+                    cap[i] += 1
+            chosen.pop()
+
+    if cols:
+        yield from rec(1, 0)
+    else:
+        yield (), 0
+
+
 def enumerate_configs(params: Params) -> Iterator[Config]:
     """Yield every configuration, lexicographically by column row-tuples."""
-    for columns in _enumerate_columns(params):
+    for columns, _ in fillings(params.windows(), params.l, params.m):
         yield Config(params, columns)
 
 
 def count_configs(params: Params) -> int:
-    return sum(1 for _ in _enumerate_columns(params))
-
-
-def enumerate_with_inversions(
-        params: Params) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
-    """Yield (columns, inversion count) pairs in the same order as
-    ``enumerate_configs``, tracking inversions incrementally.
-
-    Used where walking large families is the bottleneck; the tuples are valid
-    ``Config.columns`` values but no Config objects are built.
-    """
-    p = params
-    cap = [0] + [p.l] * p.rows
-    placed = [0] * (p.rows + 2)  # dots placed so far per row
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(j: int, inv: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
-        if j > p.cols:
-            yield tuple(chosen), inv
-            return
-        lo, hi = p.window(j)
-        hi = min(hi, p.rows)
-        avail = [i for i in range(lo, hi + 1) if cap[i] > 0]
-        for rows in combinations(avail, p.m):
-            added = 0
-            for y in rows:
-                added += sum(placed[y + 1:])
-            ok = True
-            for i in rows:
-                cap[i] -= 1
-                placed[i] += 1
-            for i in range(lo, hi + 1):
-                if cap[i] > 0 and min(p.l * i, p.cols) <= j:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(rows)
-                yield from rec(j + 1, inv + added)
-                chosen.pop()
-            for i in rows:
-                cap[i] += 1
-                placed[i] -= 1
-        return
-
-    yield from rec(1, 0)
-
-
-def _enumerate_columns(params: Params) -> Iterator[tuple[tuple[int, ...], ...]]:
-    p = params
-    cap = [0] + [p.l] * p.rows  # cap[i] = dots still needed in row i
-    chosen: list[tuple[int, ...]] = []
-
-    def last_col_for_row(i: int) -> int:
-        return min(p.l * i, p.cols)
-
-    def rec(j: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if j > p.cols:
-            yield tuple(chosen)
-            return
-        lo, hi = p.window(j)
-        avail = [i for i in range(lo, min(hi, p.rows) + 1) if cap[i] > 0]
-        for rows in combinations(avail, p.m):
-            ok = True
-            for i in rows:
-                cap[i] -= 1
-            # any row whose last feasible column is j must now be full
-            for i in range(lo, min(hi, p.rows) + 1):
-                if cap[i] > 0 and last_col_for_row(i) <= j:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(rows)
-                yield from rec(j + 1)
-                chosen.pop()
-            for i in rows:
-                cap[i] += 1
-        return
-
-    yield from rec(1)
+    return sum(1 for _ in fillings(params.windows(), params.l, params.m))

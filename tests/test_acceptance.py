@@ -30,6 +30,7 @@ from dellac.grid import (
     count_configs,
     dot_inversions,
     enumerate_configs,
+    fillings,
     highest,
     inv_highest,
     inv_lowest,
@@ -219,23 +220,23 @@ def test_12_extremal_configurations():
         assert inversions(low) == inv_lowest(p), lmn
         assert inversions(high) == inv_highest(p), lmn
 
-        total = 0
-        for _ in enumerate_configs(p):
+        least, most = inv_lowest(p), inv_highest(p)
+        total = at_min = at_max = 0
+        out_of_range = []
+        for columns, v in fillings(p.windows(), p.l, p.m):
             total += 1
             if total > cap:
                 break
+            if not least <= v <= most:
+                out_of_range.append((lmn, "out of range", v, columns))
+            if v == least:
+                at_min += 1
+            if v == most:
+                at_max += 1
         if total > cap:
             continue  # enumeration not feasible, closed forms checked above
 
-        at_min = at_max = 0
-        for c in enumerate_configs(p):
-            v = inversions(c)
-            if not inv_lowest(p) <= v <= inv_highest(p):
-                violations.append((lmn, "out of range", v, c.columns))
-            if v == inv_lowest(p):
-                at_min += 1
-            if v == inv_highest(p):
-                at_max += 1
+        violations.extend(out_of_range)
         if at_min != 1:
             violations.append((lmn, "minimum not unique", at_min))
         if at_max != 1:

@@ -5,13 +5,21 @@ from math import comb
 
 import pytest
 
-from dellac.grid import Params, enumerate_configs
+from dellac.grid import (
+    ColumnCountViolation,
+    Params,
+    RowCountViolation,
+    WindowViolation,
+    enumerate_configs,
+    fillings,
+)
 from dellac.grid import inversions as grid_inversions
 from dellac.boundary import (
     BoundaryConfig,
     HypothesisViolated,
     PartitionOutOfStaircase,
     allowed_rows,
+    board_windows,
     boundary_st,
     boundary_st_check,
     column_slack,
@@ -119,6 +127,15 @@ def test_board_validation_rejects_bad_dots():
         BoundaryConfig(2, (1,), (1,), ((3, 4), (1, 2)))
 
 
+def test_board_validation_raises_config_errors():
+    with pytest.raises(RowCountViolation):
+        BoundaryConfig(2, (), (), ((1, 2), (1, 3)))      # row 1 twice
+    with pytest.raises(ColumnCountViolation):
+        BoundaryConfig(2, (), (), ((2, 1), (3, 4)))      # not increasing
+    with pytest.raises(WindowViolation):
+        BoundaryConfig(2, (1,), (1,), ((3, 4), (1, 2)))  # row 4 cut in column 1
+
+
 def test_boundaries_that_do_not_fit_raise():
     with pytest.raises(PartitionOutOfStaircase):
         list(enumerate_boundary(2, (3,)))
@@ -140,6 +157,71 @@ def test_staircase_boundaries_match_the_square_grid_family():
                           for g in enumerate_configs(Params(1, 2, n))}
         for c in enumerate_boundary(n, delta):
             assert inversions(c) == inv_by_columns[c.columns]
+
+
+def fitting_partitions(max_part, max_len):
+    """Every partition with parts at most max_part and at most max_len
+    parts."""
+    out = []
+
+    def rec(prefix, cap):
+        out.append(tuple(prefix))
+        if len(prefix) < max_len:
+            for p in range(cap, 0, -1):
+                prefix.append(p)
+                rec(prefix, p)
+                prefix.pop()
+
+    rec([], max_part)
+    return out
+
+
+def brute_force_boards(n, top, bottom):
+    """(columns, inversions) of every board, sorted, found by placing one dot
+    per row from the top down into any open column with room left."""
+    top_cut = dict(enumerate(top, start=1))        # i-th highest row
+    bottom_cut = dict(enumerate(bottom, start=1))  # r-th lowest row
+    open_cols = {r: [j for j in range(1, n + 1)
+                     if j > top_cut.get(2 * n + 1 - r, 0)
+                     and j <= n - bottom_cut.get(r, 0)]
+                 for r in range(1, 2 * n + 1)}
+    cols = [[] for _ in range(n + 1)]
+    found = []
+
+    def place(r):
+        if r == 0:
+            columns = tuple(tuple(sorted(c)) for c in cols[1:])
+            dots = [(i, j) for j, col in enumerate(columns) for i in col]
+            inv = sum(1 for i, j in dots for i2, j2 in dots if j < j2 and i > i2)
+            found.append((columns, inv))
+            return
+        for j in open_cols[r]:
+            if len(cols[j]) < 2:
+                cols[j].append(r)
+                place(r - 1)
+                cols[j].pop()
+
+    place(2 * n)
+    return sorted(found)
+
+
+def test_board_masks_match_brute_force_on_every_boundary_up_to_four():
+    # every top (parts <= n, at most 2n of them) against every bottom
+    # (parts <= n, at most n - 1): parts equal to n, tops longer than n and
+    # the empty n = 0 board included
+    pairs = boards_seen = empty = 0
+    for n in range(0, 5):
+        for top in fitting_partitions(n, 2 * n):
+            for bottom in fitting_partitions(n, max(n - 1, 0)):
+                want = brute_force_boards(n, top, bottom)
+                got = list(fillings(board_windows(n, top, bottom), 1, 2))
+                assert got == want, (n, top, bottom)
+                pairs += 1
+                boards_seen += len(want)
+                empty += not want
+    assert (pairs, boards_seen, empty) == (18214, 106141, 17089)
+    assert brute_force_boards(0, (), ()) == [((), 0)]
+    assert brute_force_boards(2, (2,), ()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from math import comb
 
 from dellac.bijection import phi, varphi
-from dellac.cli import main, parse_partition, render_word
+from dellac.boundary import genocchi_numbers
+from dellac.cli import GENOCCHI_PREFIX, main, parse_partition, render_word
 from dellac.grid import Config, Params, enumerate_configs, inversions
 
 EXAMPLE_232 = {"l": 2, "m": 3, "n": 2,
@@ -243,11 +244,14 @@ def test_verify_all_trivial(capsys):
     assert json_lines(out)[-1]["failed"] == 0
 
 
-def test_verify_threads_keep_output_stable(capsys):
-    _, single = run(capsys, "verify", "tuples", "--max-params", "8")
-    _, pooled = run(capsys, "verify", "tuples", "--max-params", "8",
-                    "--threads", "4")
-    assert single == pooled
+def test_genocchi_prefix_matches_the_dp():
+    assert GENOCCHI_PREFIX == tuple(genocchi_numbers(8))
+
+
+def test_threads_flag_is_gone():
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "tuples", "--threads", "2"])
+    assert err.value.code == 2
 
 
 def test_verify_rejects_unknown_suite():

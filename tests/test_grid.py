@@ -20,7 +20,7 @@ from dellac.grid import (
     dot_inversions,
     elementary_switch,
     enumerate_configs,
-    enumerate_with_inversions,
+    fillings,
     highest,
     inv_highest,
     inv_lowest,
@@ -193,7 +193,7 @@ def test_genocchi_counts():
 @pytest.mark.parametrize("lmn", [(1, 2, 3), (2, 2, 2), (1, 3, 2), (2, 3, 2)])
 def test_enumerate_with_inversions_agrees(lmn):
     p = Params(*lmn)
-    paired = list(enumerate_with_inversions(p))
+    paired = list(fillings(p.windows(), p.l, p.m))
     assert [cols for cols, _ in paired] == [c.columns for c in enumerate_configs(p)]
     for cols, inv in paired:
         assert inv == inversions(Config(p, cols))
