@@ -10,10 +10,8 @@ two sides together.
 
 from __future__ import annotations
 
-from math import comb
-
-from .grid import Config, Params, inversions, word_of
-from .words import Word, destandardize, recover_pi, st_statistic
+from .grid import Config, Params, word_of
+from .words import Word, destandardize, recover_pi
 
 
 def phi1(c: Config) -> Word:
@@ -67,8 +65,3 @@ def psi(sigma, params: Params) -> Config:
         columns.append(tuple(sorted(params.row_of_label(lab) for lab in labels)))
     return Config(params, tuple(columns))
 
-
-def verify_st_identity(c: Config) -> bool:
-    """st(varphi(c)) + inv(c) = C(L/2, 2)."""
-    L = c.params.word_len
-    return st_statistic(varphi(c), c.params) + inversions(c) == comb(L // 2, 2)

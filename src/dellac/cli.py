@@ -4,9 +4,10 @@ Subcommands: enumerate, count, convert, poincare, verify, genocchi.
 
 Output conventions: streams (enumerate, genocchi) are JSON Lines with a
 trailing count line, or a CSV table under --format csv; single objects
-(count, convert, poincare) are one JSON document; verify prints one
-pass/fail row per identity.  All output is byte-deterministic for fixed
-flags.
+(count, convert, poincare) are one JSON document; verify runs the rows of
+the ``dellac.checks`` registry (the same rows the test suite sweeps) and
+prints one pass/fail row per identity and parameter set.  All output is
+byte-deterministic for fixed flags.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 input
 validation error.
@@ -18,25 +19,20 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from math import comb
 
-from dellac.bijection import phi, psi, varphi
+from dellac.bijection import psi, varphi
 from dellac.boundary import (
     PartitionOutOfStaircase,
-    count_boundary,
     genocchi_numbers,
     q_partition_function,
     q_partition_function_dp,
-    recurrence_suite,
     staircase,
 )
+from dellac.checks import verify_items as _verify_items
 from dellac.dyck import (
     area,
     big14_path,
-    check_inv_decomposition,
     rises_from_dyck,
-    validate_phi_shape,
-    upper_set_and_coincidence,
 )
 from dellac.embed import xi1, xi1_inverse, xi2, xi2_inverse
 from dellac.grid import (
@@ -44,16 +40,11 @@ from dellac.grid import (
     ConfigError,
     Params,
     count_configs,
-    dot_inversions,
     enumerate_configs,
-    inversions,
-    tau_of,
 )
 from dellac.tuples import (
     config_to_i,
     config_to_k,
-    count_i,
-    count_k,
     i_from_json,
     i_to_config,
     i_to_json,
@@ -65,25 +56,14 @@ from dellac.tuples import (
 )
 from dellac.words import (
     WordError,
-    enumerate_normalized_dumont,
-    inv_word,
     recover_pi,
     st_from_pi,
-    st_statistic,
 )
 
 OK = 0
 VERIFY_FAILED = 1
 USAGE_ERROR = 2
 VALIDATION_ERROR = 3
-
-# Parameter sets the verification suites sweep, filtered by --max-params
-# (a cap on l*m*n so the sweeps stay cheap on demand).
-BIJECTION_PARAMS = [(1, 2, 2), (1, 2, 3), (2, 2, 1), (2, 2, 2), (1, 3, 2), (2, 3, 2)]
-EMBEDDING_PARAMS = [(2, 2, 2), (2, 3, 2), (1, 3, 2), (1, 3, 3)]
-TUPLE_PARAMS = [(1, 2, 3), (2, 2, 2), (1, 3, 2)]
-
-GENOCCHI_PREFIX = (1, 2, 7, 38, 295, 3098, 42271, 726734)
 
 
 def render_word(word) -> str:
@@ -352,202 +332,6 @@ def cmd_genocchi(args, out) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-def _chk_varphi_bijective(lmn):
-    params = Params(*lmn)
-    seen = {}
-    for c in enumerate_configs(params):
-        sigma = varphi(c)
-        if sigma in seen:
-            return False, f"collision: {c.columns} and {seen[sigma]} share {sigma}"
-        seen[sigma] = c.columns
-        if psi(sigma, params) != c:
-            return False, f"psi(varphi(c)) != c at {c.columns}"
-    accepted = set(enumerate_normalized_dumont(params))
-    if set(seen) != accepted:
-        extra = sorted(accepted - set(seen)) + sorted(set(seen) - accepted)
-        return False, f"image mismatch, first difference {extra[0]}"
-    return True, f"{len(seen)} configurations"
-
-
-def _chk_st_identity(lmn):
-    params = Params(*lmn)
-    target = comb(params.word_len // 2, 2)
-    for c in enumerate_configs(params):
-        got = st_statistic(varphi(c), params) + inversions(c)
-        if got != target:
-            return False, f"st+inv = {got} != {target} at {c.columns}"
-    return True, f"st + inv = {target}"
-
-
-def _chk_tau_inversions(lmn):
-    params = Params(*lmn)
-    for c in enumerate_configs(params):
-        if inv_word(tau_of(c)) != inversions(c):
-            return False, f"inv(tau) mismatch at {c.columns}"
-    return True, "inv(tau) = inv"
-
-
-def _chk_tau_offsets(lmn):
-    params = Params(*lmn)
-    for c in enumerate_configs(params):
-        tau = tau_of(c)
-        for i, dot in enumerate(c.dots_row_major(), start=1):
-            above_left, below_right = dot_inversions(c, dot)
-            if tau[i - 1] != i + above_left - below_right:
-                return False, f"offset rule fails for dot {dot} at {c.columns}"
-    return True, "tau(i) = i + left - right"
-
-
-def _chk_inv_decomposition(lmn):
-    params = Params(*lmn)
-    for c in enumerate_configs(params):
-        if not check_inv_decomposition(c):
-            return False, f"inv != Area + inv + inv at {c.columns}"
-    return True, "inv = Area + inv(even) + inv(odd)"
-
-
-def _chk_phi_shape(lmn):
-    params = Params(*lmn)
-    for c in enumerate_configs(params):
-        bad = validate_phi_shape(phi(c), params)
-        if bad:
-            return False, f"conditions {bad} rejected at {c.columns}"
-    return True, "validator accepts every image"
-
-
-def _chk_big14(lmn):
-    params = Params(*lmn)
-    for c in enumerate_configs(params):
-        if not upper_set_and_coincidence(c):
-            return False, f"path/up-set mismatch at {c.columns}"
-    return True, "path area bookkeeping agrees"
-
-
-def _chk_xi1(lmn):
-    params = Params(*lmn)
-    for c in enumerate_configs(params):
-        image = xi1(c)
-        if inversions(image) != inversions(c):
-            return False, f"inv changed under xi1 at {c.columns}"
-        if xi1_inverse(image, params.l) != c:
-            return False, f"xi1 round trip failed at {c.columns}"
-    return True, "inv preserved, round trips"
-
-
-def _chk_xi2(lmn):
-    params = Params(*lmn)
-    for c in enumerate_configs(params):
-        image, va = xi2(c)
-        if inversions(image) != inversions(c):
-            return False, f"inv changed under xi2 at {c.columns}"
-        if xi2_inverse(image, va) != c:
-            return False, f"xi2 round trip failed at {c.columns}"
-    return True, "inv preserved, round trips"
-
-
-def _chk_tuples_i(lmn):
-    params = Params(*lmn)
-    total = 0
-    for c in enumerate_configs(params):
-        if i_to_config(config_to_i(c), params) != c:
-            return False, f"I round trip failed at {c.columns}"
-        total += 1
-    independent = count_i(params)
-    if independent != total:
-        return False, f"#I = {independent}, |DC| = {total}"
-    return True, f"#I = |DC| = {total}"
-
-
-def _chk_tuples_k(lmn):
-    params = Params(*lmn)
-    total = 0
-    for c in enumerate_configs(params):
-        if k_to_config(config_to_k(c), params) != c:
-            return False, f"K round trip failed at {c.columns}"
-        total += 1
-    independent = count_k(params)
-    if independent != total:
-        return False, f"#K = {independent}, |DC| = {total}"
-    return True, f"#K = |DC| = {total}"
-
-
-def _chk_recurrence(identity, max_n):
-    checked = 0
-    for r in recurrence_suite(max_n, (identity,)):
-        if not r.ok:
-            return False, (f"n={r.n} args={dict(r.arguments)} "
-                           f"lhs={r.lhs} rhs={r.rhs}")
-        checked += 1
-    return True, f"{checked} instances"
-
-
-def _chk_genocchi_sequence(max_n):
-    via_dp = genocchi_numbers(max_n)
-    for i, value in enumerate(via_dp, start=1):
-        direct = count_boundary(i, staircase(i - 1))
-        if direct != value:
-            return False, f"n={i}: enumeration {direct} != dp {value}"
-        if i <= len(GENOCCHI_PREFIX) and value != GENOCCHI_PREFIX[i - 1]:
-            return False, f"n={i}: {value} != {GENOCCHI_PREFIX[i - 1]}"
-    return True, ", ".join(map(str, via_dp))
-
-
-def _verify_items(suite, max_n, max_params):
-    """(suite, identity, params string, callable) tuples for one suite."""
-    items = []
-
-    def bij_sets():
-        return [t for t in BIJECTION_PARAMS if t[0] * t[1] * t[2] <= max_params]
-
-    if suite in ("bijection", "all"):
-        for lmn in bij_sets():
-            tag = "l={},m={},n={}".format(*lmn)
-            items.append(("bijection", "varphi-bijective", tag,
-                          lambda t=lmn: _chk_varphi_bijective(t)))
-            items.append(("bijection", "st-identity", tag,
-                          lambda t=lmn: _chk_st_identity(t)))
-            items.append(("bijection", "tau-inversions", tag,
-                          lambda t=lmn: _chk_tau_inversions(t)))
-            items.append(("bijection", "tau-offsets", tag,
-                          lambda t=lmn: _chk_tau_offsets(t)))
-    if suite in ("dyck", "all"):
-        for lmn in bij_sets():
-            tag = "l={},m={},n={}".format(*lmn)
-            items.append(("dyck", "inv-decomposition", tag,
-                          lambda t=lmn: _chk_inv_decomposition(t)))
-            items.append(("dyck", "split-validator", tag,
-                          lambda t=lmn: _chk_phi_shape(t)))
-            if lmn[0] == 1 and lmn[1] == 2:
-                items.append(("dyck", "path-up-set", tag,
-                              lambda t=lmn: _chk_big14(t)))
-    if suite in ("embeddings", "all"):
-        for lmn in EMBEDDING_PARAMS:
-            if lmn[0] * lmn[1] * lmn[2] > max_params:
-                continue
-            tag = "l={},m={},n={}".format(*lmn)
-            items.append(("embeddings", "xi1", tag, lambda t=lmn: _chk_xi1(t)))
-            if lmn[0] == 1:
-                items.append(("embeddings", "xi2", tag, lambda t=lmn: _chk_xi2(t)))
-    if suite in ("tuples", "all"):
-        for lmn in TUPLE_PARAMS:
-            if lmn[0] * lmn[1] * lmn[2] > max_params:
-                continue
-            tag = "l={},m={},n={}".format(*lmn)
-            items.append(("tuples", "i-collections", tag,
-                          lambda t=lmn: _chk_tuples_i(t)))
-            items.append(("tuples", "k-collections", tag,
-                          lambda t=lmn: _chk_tuples_k(t)))
-    if suite in ("recurrences", "all"):
-        for identity in ("pinned-row", "free-row", "qtriple", "append-one",
-                         "shift1", "shift2", "split-pair", "six-term"):
-            items.append(("recurrences", identity, f"n<={max_n}",
-                          lambda name=identity: _chk_recurrence(name, max_n)))
-    if suite in ("genocchi", "all"):
-        items.append(("genocchi", "sequence", f"n<={max_n}",
-                      lambda: _chk_genocchi_sequence(max_n)))
-    return items
-
 
 def cmd_verify(args, out) -> int:
     items = _verify_items(args.suite, args.max_n, args.max_params)

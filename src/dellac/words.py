@@ -11,7 +11,7 @@ trailing even blocks, and requires a unique lift pi with dStd(pi) = sigma
 whose position blocks increase and whose column words (read through pi^{-1})
 all satisfy the parity property.  The lift is recovered here by constraint
 propagation plus a tiny backtracking search over the per-letter choices the
-block condition leaves open; the uniqueness of the lift is asserted.
+block condition leaves open; a second lift raises AmbiguousLift.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ class NoValidPi(WordError):
 
 class ParityViolation(WordError):
     """Lifts exist but every one violates the parity property."""
+
+
+class AmbiguousLift(WordError):
+    """More than one lift passes every condition, so the word is not a
+    normalized Dumont permutation (varphi collides on such words)."""
 
 
 Word = tuple[int, ...]
@@ -201,8 +206,8 @@ def column_words(pi: Word, params: Params) -> list[Word]:
 def recover_pi(sigma, params: Params) -> Word:
     """Find the unique increasing-block, parity-respecting lift of sigma.
 
-    Raises PinViolation / NoValidPi / ParityViolation when sigma is not a
-    normalized Dumont permutation; asserts uniqueness of the lift.
+    Raises PinViolation / NoValidPi / ParityViolation / AmbiguousLift when
+    sigma is not a normalized Dumont permutation.
     """
     sigma = tuple(sigma)
     l, m = params.l, params.m
@@ -288,7 +293,7 @@ def recover_pi(sigma, params: Params) -> Word:
                 "every increasing-block lift fails the parity or column-window property")
         raise NoValidPi("no increasing-block lift exists")
     if len(solutions) > 1:
-        raise AssertionError(f"lift of {sigma} is not unique: {solutions[:2]}")
+        raise AmbiguousLift(f"lift of {sigma} is not unique: {solutions[:2]}")
     return solutions[0]
 
 

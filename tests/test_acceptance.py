@@ -1,7 +1,10 @@
-"""Thirteen end-to-end acceptance checks, one test per check.
+"""End-to-end acceptance checks: one test per claim, each on a worked
+example, and one parametrized test that runs every row of the
+``dellac.checks`` registry, the rows ``dellac verify all`` prints.
 
 Run ``pytest tests/test_acceptance.py -v`` for one pass/fail line per
-check.  Tests with a wall-clock budget assert it after doing the work.
+check and registry row.  Tests with a wall-clock budget assert it after
+doing the work.
 """
 
 import time
@@ -22,14 +25,14 @@ from dellac.boundary import (
     staircase_gap,
     verify_expansion_instance,
 )
+from dellac.checks import verify_items
 from dellac.dyck import area, check_inv_decomposition, split_phi, validate_phi_shape
-from dellac.embed import xi1, xi1_inverse, xi2, xi2_inverse
+from dellac.embed import xi1, xi2, xi2_inverse
 from dellac.grid import (
     Config,
     Params,
     count_configs,
     dot_inversions,
-    enumerate_configs,
     fillings,
     highest,
     inv_highest,
@@ -39,7 +42,7 @@ from dellac.grid import (
     tau_of,
 )
 from dellac.tuples import count_i, count_k
-from dellac.words import enumerate_normalized_dumont, inv_word, st_statistic
+from dellac.words import inv_word, st_statistic
 
 
 @contextmanager
@@ -49,8 +52,6 @@ def budget(seconds):
     elapsed = time.monotonic() - start
     assert elapsed < seconds, f"took {elapsed:.1f}s, budget was {seconds}s"
 
-
-PARAM_SETS = [(1, 2, 2), (1, 2, 3), (2, 2, 1), (2, 2, 2), (1, 3, 2), (2, 3, 2)]
 
 # the worked (2,3,3) pair: st = 35, inv = 31, 35 + 31 = C(12,2) = 66
 CFG_233 = Config(Params(2, 3, 3), (
@@ -107,44 +108,26 @@ def test_03_cubic_board_polynomials():
 
 
 def test_04_st_plus_inv_is_constant():
-    with budget(60):
-        assert varphi(CFG_233) == SIGMA_233
-        assert st_statistic(SIGMA_233, CFG_233.params) == 35
-        assert inversions(CFG_233) == 31
-        assert comb(CFG_233.params.word_len // 2, 2) == 66
-        for lmn in PARAM_SETS:
-            p = Params(*lmn)
-            target = comb(p.word_len // 2, 2)
-            for c in enumerate_configs(p):
-                assert st_statistic(varphi(c), p) + inversions(c) == target, c
+    assert st_statistic(SIGMA_233, CFG_233.params) == 35
+    assert inversions(CFG_233) == 31
+    assert comb(CFG_233.params.word_len // 2, 2) == 66
 
 
 def test_05_varphi_bijects_onto_normalized_dumont():
-    for lmn in PARAM_SETS:
-        p = Params(*lmn)
-        image = set()
-        for c in enumerate_configs(p):
-            sigma = varphi(c)
-            assert sigma not in image, (lmn, sigma)
-            image.add(sigma)
-            assert psi(sigma, p) == c
-        assert image == set(enumerate_normalized_dumont(p)), lmn
+    assert varphi(CFG_233) == SIGMA_233
+    assert psi(SIGMA_233, CFG_233.params) == CFG_233
 
 
 def test_06_inversion_decomposes_into_area_plus_two_inv():
     phi_e, phi_o, phi_e_sorted = split_phi(phi(CFG_223), 2)
     assert (area(phi_e_sorted), inv_word(phi_e), inv_word(phi_o)) == (7, 2, 2)
     assert inversions(CFG_223) == 11
-    for lmn in PARAM_SETS:
-        for c in enumerate_configs(Params(*lmn)):
-            assert check_inv_decomposition(c), (lmn, c)
+    assert check_inv_decomposition(CFG_223)
 
 
 def test_07_split_word_validator_accepts_every_image():
-    for lmn in PARAM_SETS:
-        p = Params(*lmn)
-        for c in enumerate_configs(p):
-            assert validate_phi_shape(phi(c), p) == [], (lmn, c)
+    for c in (CFG_223, CFG_233):
+        assert validate_phi_shape(phi(c), c.params) == [], c
 
 
 def test_08_embeddings_preserve_inversions():
@@ -152,24 +135,12 @@ def test_08_embeddings_preserve_inversions():
     image, va = xi2(XI2_SOURCE)
     assert inversions(XI2_SOURCE) == inversions(image) == 7
     assert xi2_inverse(image, va) == XI2_SOURCE
-    for lmn in [(2, 2, 2), (2, 3, 2), (1, 3, 2), (1, 3, 3)]:
-        p = Params(*lmn)
-        for c in enumerate_configs(p):
-            d = xi1(c)
-            assert inversions(d) == inversions(c), (lmn, c)
-            assert xi1_inverse(d, p.l) == c, (lmn, c)
-            if p.l == 1:
-                d2, va = xi2(c)
-                assert inversions(d2) == inversions(c), (lmn, c)
-                assert xi2_inverse(d2, va) == c, (lmn, c)
 
 
 def test_09_tuple_models_count_the_configurations():
-    for lmn in [(1, 2, 3), (2, 2, 2), (1, 3, 2)]:
-        p = Params(*lmn)
-        total = count_configs(p)
-        assert count_i(p) == total, lmn
-        assert count_k(p) == total, lmn
+    genocchi = [1, 2, 7, 38, 295]
+    assert [count_i(Params(1, 2, n)) for n in range(1, 6)] == genocchi
+    assert [count_k(Params(1, 2, n)) for n in range(1, 6)] == genocchi
 
 
 def test_10_recurrence_suite_holds_exactly():
@@ -245,11 +216,42 @@ def test_12_extremal_configurations():
 
 
 def test_13_label_word_carries_the_statistics():
-    for lmn in PARAM_SETS:
-        p = Params(*lmn)
-        for c in enumerate_configs(p):
-            tau = tau_of(c)
-            assert inv_word(tau) == inversions(c), (lmn, c)
-            for i, dot in enumerate(c.dots_row_major(), start=1):
-                above_left, below_right = dot_inversions(c, dot)
-                assert tau[i - 1] == i + above_left - below_right, (lmn, dot)
+    tau = tau_of(CFG_233)
+    assert inv_word(tau) == inversions(CFG_233) == 31
+    for i, dot in enumerate(CFG_233.dots_row_major(), start=1):
+        above_left, below_right = dot_inversions(CFG_233, dot)
+        assert tau[i - 1] == i + above_left - below_right, dot
+
+
+REGISTRY_ROWS = verify_items("all", 5, 12)
+
+
+@pytest.mark.parametrize("suite, identity, tag, check", REGISTRY_ROWS,
+                         ids=[f"{s}-{i}-{t}" for s, i, t, _ in REGISTRY_ROWS])
+def test_14_registry_check(suite, identity, tag, check):
+    ok, detail = check()
+    assert ok, detail
+
+
+def test_15_registry_keeps_every_verify_row():
+    bij = ["l=1,m=2,n=2", "l=1,m=2,n=3", "l=1,m=3,n=2",
+           "l=2,m=2,n=1", "l=2,m=2,n=2", "l=2,m=3,n=2"]
+    emb = ["l=1,m=3,n=2", "l=1,m=3,n=3", "l=2,m=2,n=2", "l=2,m=3,n=2"]
+    tup = ["l=1,m=2,n=3", "l=1,m=3,n=2", "l=2,m=2,n=2"]
+    boards = ["n<=5"]
+    rows = {
+        "bijection": {"varphi-bijective": bij, "st-identity": bij,
+                      "tau-inversions": bij, "tau-offsets": bij},
+        "dyck": {"inv-decomposition": bij, "split-validator": bij,
+                 "path-up-set": bij[:2]},
+        "embeddings": {"xi1": emb, "xi2": emb[:2]},
+        "tuples": {"i-collections": tup, "k-collections": tup},
+        "recurrences": dict.fromkeys(
+            ("pinned-row", "free-row", "qtriple", "append-one",
+             "shift1", "shift2", "split-pair", "six-term"), boards),
+        "genocchi": {"sequence": boards},
+    }
+    expected = sorted((suite, identity, tag) for suite, by_identity in rows.items()
+                      for identity, tags in by_identity.items() for tag in tags)
+    assert len(expected) == 59
+    assert sorted((s, i, t) for s, i, t, _ in REGISTRY_ROWS) == expected

@@ -9,7 +9,8 @@ from math import comb
 
 from dellac.bijection import phi, varphi
 from dellac.boundary import genocchi_numbers
-from dellac.cli import GENOCCHI_PREFIX, main, parse_partition, render_word
+from dellac.checks import GENOCCHI_PREFIX
+from dellac.cli import main, parse_partition, render_word
 from dellac.grid import Config, Params, enumerate_configs, inversions
 
 EXAMPLE_232 = {"l": 2, "m": 3, "n": 2,
@@ -111,6 +112,18 @@ def test_convert_dumont_round_trip(capsys, monkeypatch):
                            "--l", "2", "--m", "3", "--n", "2")
     assert code == 0
     assert json.loads(back) == EXAMPLE_232
+
+
+def test_convert_dumont_rejects_an_ambiguous_lift(capsys, monkeypatch):
+    # varphi maps two (3,2,2) configurations to this word
+    sigma = [3, 4, 5, 1, 1, 1, 4, 5, 5, 2, 2, 3, 6, 6, 6, 2, 3, 4]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"sigma": sigma})))
+    code = main(["convert", "--from", "dumont", "--to", "config",
+                 "--l", "3", "--m", "2", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: dumont: lift of ")
 
 
 def test_convert_dumont_needs_params(capsys, monkeypatch):
