@@ -13,9 +13,14 @@ between that family and the free two-dots-per-column boards.
 
 The q-partition function sums q^inv over all boards with given boundaries.
 It satisfies a family of exact recurrences (expansion by the top row, part
-shifts, splitting a doubled part) which this module verifies by enumerating
-both sides; a memoized dynamic program over partitions evaluates the
-staircase-bottom family without enumeration.
+shifts, splitting a doubled part).  ``IDENTITIES`` is their one table: for
+each name, its argument names, its check (which enumerates both sides) and
+the generator of its admissible arguments; ``verify_recurrence``,
+``recurrence_arguments`` and ``recurrence_suite`` all read it.  The
+expansion by the top row, ``_expand_top_row``, is written once: the
+memoized dynamic program that evaluates the staircase-bottom family without
+enumeration recurses through it, and the pinned-row and free-row checks
+apply it to the enumerated partition function.
 """
 
 from __future__ import annotations
@@ -26,11 +31,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .grid import Windows, check_columns, fillings, inversions
+from . import grid
+from .grid import Windows, check_columns, fillings
 from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int
-from .words import inv_word, invert
+from .words import invert, st_from_pi
 
 Partition = tuple[int, ...]
 
@@ -109,12 +115,6 @@ def _drop(parts: Sequence[int], *positions: int) -> Partition:
                      if k not in positions)
 
 
-def _padded(lam: Partition, length: int) -> tuple[int, ...]:
-    if len(lam) > length:
-        raise ValueError(f"partition {lam} has more than {length} parts")
-    return lam + (0,) * (length - len(lam))
-
-
 # ---------------------------------------------------------------------------
 # Boards
 # ---------------------------------------------------------------------------
@@ -147,13 +147,6 @@ def board_windows(n: int, top: Iterable[int] = (),
     return tuple((1 + sum(1 for b in bottom if b > n - j),
                   2 * n - sum(1 for t in top if t >= j))
                  for j in range(1, n + 1))
-
-
-def allowed_rows(n: int, top: Iterable[int] = (),
-                 bottom: Iterable[int] | None = None) -> tuple[Partition, ...]:
-    """Admissible rows of every column: ``board_windows`` spelled out."""
-    return tuple(tuple(range(lo, hi + 1))
-                 for lo, hi in board_windows(n, top, bottom))
 
 
 @dataclass(frozen=True)
@@ -236,29 +229,41 @@ def max_inv(n: int, top: Iterable[int] = ()) -> int:
     return n * (n - 1) - sum(normalize(top))
 
 
+def _expand_top_row(n: int, lam: Partition,
+                    f: Callable[[int, Partition], QPoly]) -> QPoly:
+    """Expansion of a staircase-bottom board of size n by its top row, with
+    ``f`` evaluating the boards of size n - 1.
+
+    The last column's two dots sit among the n + 1 highest rows.  The sum
+    runs over their positions i < j counted from the top, each weighted by
+    q^(i + j - 3) (the dots above them and to the left) and taking parts i
+    and j out of ``lam`` (padded with zeros).  When the first part is n - 1
+    the highest row's dot must be in the last column (i = 1), so the sum is
+    linear in the removed part; otherwise it runs over every pair.
+    """
+    if len(lam) > n + 1:
+        raise ValueError(f"partition {lam} has more than {n + 1} parts")
+    padded = lam + (0,) * (n + 1 - len(lam))
+    pairs = (((1, j) for j in range(2, n + 2)) if lam and lam[0] == n - 1
+             else combinations(range(1, n + 2), 2))
+    total = ZERO
+    for i, j in pairs:
+        total = total + f(n - 1, _drop(padded, i, j)).shifted(i + j - 3)
+    return total
+
+
 @lru_cache(maxsize=None)
 def _qpf_dp(n: int, lam: Partition) -> QPoly:
     if lam and lam[0] >= n:
         return ZERO
     if n <= 1:
         return ONE
-    padded = _padded(lam, n + 1)
-    total = ZERO
-    if lam and lam[0] == n - 1:
-        for i in range(2, n + 2):
-            total = total + _qpf_dp(n - 1, _drop(padded, 1, i)).shifted(i - 2)
-    else:
-        for i, j in combinations(range(1, n + 2), 2):
-            total = total + _qpf_dp(n - 1, _drop(padded, i, j)).shifted(i + j - 3)
-    return total
+    return _expand_top_row(n, lam, _qpf_dp)
 
 
 def q_partition_function_dp(n: int, top: Iterable[int] = ()) -> QPoly:
-    """Enumeration-free evaluation for staircase-bottom boards.
-
-    Expands by the top row: when the first part pins the top dot to the last
-    column the expansion is linear in the removed part, otherwise quadratic
-    over pairs of removed parts.
+    """Enumeration-free evaluation for staircase-bottom boards, by
+    ``_expand_top_row``; a top with more than n + 1 parts raises ValueError.
     """
     top = normalize(top)
     _check_boundaries(n, top, staircase(n - 1))
@@ -277,8 +282,10 @@ def genocchi_numbers(max_n: int) -> list[int]:
 
 def column_slack(n: int, top: Iterable[int] = (),
                  bottom: Iterable[int] | None = None) -> int:
-    """Largest column admissibility count minus (n + 1); 0 on staircases."""
-    return max(len(rows) for rows in allowed_rows(n, top, bottom)) - n - 1
+    """Largest column admissibility count minus (n + 1); 0 on staircases
+    and on the empty board."""
+    windows = board_windows(n, top, bottom)
+    return max((hi - lo + 1 for lo, hi in windows), default=n + 1) - n - 1
 
 
 def sigma_word(c: BoundaryConfig) -> tuple[int, ...]:
@@ -299,22 +306,15 @@ def sigma_word(c: BoundaryConfig) -> tuple[int, ...]:
 
 
 def boundary_st(c: BoundaryConfig) -> int:
-    """The statistic of the inverse of the label word.
-
-    With tau the inverse word and L half its length: L^2, minus the letters
-    of tau at even positions, minus the inversions of the odd-position and
-    even-position subwords of tau.
-    """
-    tau = invert(sigma_word(c))
-    half = len(tau) // 2
-    odd, even = tau[0::2], tau[1::2]
-    return half * half - sum(even) - inv_word(odd) - inv_word(even)
+    """The statistic ``words.st_from_pi`` of the inverse of the label word,
+    read with blocks of length 1."""
+    return st_from_pi(invert(sigma_word(c)), 1)
 
 
 def boundary_st_check(c: BoundaryConfig) -> bool:
     """st of the inverse label word equals C(L, 2) minus the inversions."""
     half = len(sigma_word(c)) // 2
-    return boundary_st(c) == comb(half, 2) - inversions(c)
+    return boundary_st(c) == comb(half, 2) - grid.inversions(c)
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +342,15 @@ def _require(cond: bool, message: str) -> None:
 def _check_pinned_row(n: int, lam: Partition) -> tuple[QPoly, QPoly]:
     _require(bool(lam) and lam[0] == n - 1,
              "first part must equal n - 1")
-    padded = _padded(lam, n + 1)
-    lhs = q_partition_function(n, lam)
-    rhs = ZERO
-    for i in range(2, n + 2):
-        rhs = rhs + q_partition_function(n - 1, _drop(padded, 1, i)).shifted(i - 2)
-    return lhs, rhs
+    return (q_partition_function(n, lam),
+            _expand_top_row(n, lam, q_partition_function))
 
 
 def _check_free_row(n: int, lam: Partition) -> tuple[QPoly, QPoly]:
     _require(not lam or lam[0] <= n - 2,
              "first part must be at most n - 2")
-    padded = _padded(lam, n + 1)
-    lhs = q_partition_function(n, lam)
-    rhs = ZERO
-    for i, j in combinations(range(1, n + 2), 2):
-        rhs = rhs + q_partition_function(n - 1, _drop(padded, i, j)).shifted(i + j - 3)
-    return lhs, rhs
+    return (q_partition_function(n, lam),
+            _expand_top_row(n, lam, q_partition_function))
 
 
 def _check_qtriple(n: int, lam: Partition) -> tuple[QPoly, QPoly]:
@@ -372,8 +364,7 @@ def _check_qtriple(n: int, lam: Partition) -> tuple[QPoly, QPoly]:
 
 
 def _check_append_one(n: int, lam: Partition) -> tuple[QPoly, QPoly]:
-    _require(len(lam) < 2 or lam[-2:] != (1, 1),
-             "partition already ends in two unit parts")
+    _require(lam[-2:] != (1, 1), "partition already ends in two unit parts")
     alpha1 = 2 * n - 2 - len(lam)
     _require(alpha1 >= 0, "partition has too many parts")
     lhs = q_partition_function(n, lam)
@@ -382,13 +373,16 @@ def _check_append_one(n: int, lam: Partition) -> tuple[QPoly, QPoly]:
     return lhs, rhs
 
 
+def _require_around(lam: Partition, m: int, nu: Partition) -> None:
+    """The hypothesis of the shift and split identities: lam > m > nu > 0."""
+    _require(m >= 1, "the part m must be positive")
+    _require(not lam or lam[-1] > m, "left parts must exceed m")
+    _require(not nu or nu[0] < m, "right parts must stay below m")
+
+
 def _shift_parts(n: int, lam: Partition, m: int, nu: Partition,
                  ) -> tuple[QPoly, QPoly, QPoly, QPoly]:
-    _require(m >= 1, "the moved part must be positive")
-    _require(not lam or lam[-1] >= m + 1,
-             "left parts must exceed the moved part")
-    _require(not nu or nu[0] <= m - 1,
-             "right parts must stay below the moved part")
+    _require_around(lam, m, nu)
     mid = q_partition_function(n, oplus(lam, (m,), nu))
     down = q_partition_function(n, oplus(lam, (m - 1,), nu))
     up = q_partition_function(n, oplus(lam, (m + 1,), nu))
@@ -423,11 +417,7 @@ def _check_shift2(n: int, lam: Partition, m: int, nu: Partition,
 
 def _check_split_pair(n: int, lam: Partition, m: int, nu: Partition,
                       ) -> tuple[QPoly, QPoly]:
-    _require(m >= 1, "the doubled part must be positive")
-    _require(not lam or lam[-1] >= m + 1,
-             "left parts must exceed the doubled part")
-    _require(not nu or nu[0] <= m - 1,
-             "right parts must stay below the doubled part")
+    _require_around(lam, m, nu)
     beta = 2 * (n - m - 1) - len(lam)
     _require(beta >= 0, "exponent 2(n - m - 1) - l(lam) is negative")
     lhs = q_partition_function(n, oplus(lam, (m, m), nu))
@@ -469,16 +459,69 @@ def _check_six_term(n: int, lam: Partition, nu: Partition,
     return lhs, rhs
 
 
-_IDENTITIES = {
-    "pinned-row": ("lam",),
-    "free-row": ("lam",),
-    "qtriple": ("lam",),
-    "append-one": ("lam",),
-    "shift1": ("lam", "m", "nu"),
-    "shift2": ("lam", "m", "nu"),
-    "split-pair": ("lam", "m", "nu"),
-    "six-term": ("lam", "nu"),
+def _tops(k: int, keep: Callable[[Partition], bool],
+          ) -> Iterator[dict[str, object]]:
+    """{"lam": lam} for every partition inside staircase(k) that ``keep``
+    accepts."""
+    return ({"lam": lam} for lam in partitions_in_staircase(k) if keep(lam))
+
+
+def _moves(n: int, times: int) -> Iterator[dict[str, object]]:
+    """{"lam", "m", "nu"} with lam > m > nu around every part m that appears
+    exactly ``times`` times in a partition inside staircase(n - 1).
+
+    Every exponent the shift and split identities require is positive on
+    these arguments, so none is tested here.
+    """
+    for parts in partitions_in_staircase(n - 1):
+        for i, m in enumerate(parts):
+            if parts.index(m) == i and parts.count(m) == times:
+                yield {"lam": parts[:i], "m": m, "nu": parts[i + times:]}
+
+
+def _cuts(n: int) -> Iterator[dict[str, object]]:
+    """{"lam", "nu"} for every cut of every partition inside
+    staircase(n - 1) whose parts are at most n - 2; none below n = 2."""
+    for parts in partitions_in_staircase(n - 1) if n >= 2 else ():
+        if not parts or parts[0] <= n - 2:
+            for cut in range(len(parts) + 1):
+                yield {"lam": parts[:cut], "nu": parts[cut:]}
+
+
+class Identity(NamedTuple):
+    """A recurrence: its argument names in report order, the check that
+    enumerates both sides (raising HypothesisViolated when the arguments
+    break its hypothesis), and the admissible arguments at board size n."""
+
+    names: tuple[str, ...]
+    check: Callable[..., tuple[QPoly, QPoly]]
+    arguments: Callable[[int], Iterator[dict[str, object]]]
+
+
+IDENTITIES: dict[str, Identity] = {
+    "pinned-row": Identity(("lam",), _check_pinned_row, lambda n: _tops(
+        n - 1, lambda lam: bool(lam) and lam[0] == n - 1)),
+    "free-row": Identity(("lam",), _check_free_row, lambda n: _tops(
+        n - 1, lambda lam: not lam or lam[0] <= n - 2)),
+    "qtriple": Identity(("lam",), _check_qtriple, lambda n: _tops(
+        n - 3, lambda lam: n >= 2)),
+    "append-one": Identity(("lam",), _check_append_one, lambda n: _tops(
+        n - 1, lambda lam: lam[-2:] != (1, 1))),
+    "shift1": Identity(("lam", "m", "nu"), _check_shift1, lambda n: (
+        args for args in _moves(n, 1) if not args["nu"])),
+    "shift2": Identity(("lam", "m", "nu"), _check_shift2,
+                       lambda n: _moves(n, 1)),
+    "split-pair": Identity(("lam", "m", "nu"), _check_split_pair,
+                           lambda n: _moves(n, 2)),
+    "six-term": Identity(("lam", "nu"), _check_six_term, _cuts),
 }
+
+
+def _identity(name: str) -> Identity:
+    try:
+        return IDENTITIES[name]
+    except KeyError:
+        raise ValueError(f"unknown identity {name!r}") from None
 
 
 def verify_recurrence(identity: str, n: int, lam: Iterable[int] = (),
@@ -489,96 +532,25 @@ def verify_recurrence(identity: str, n: int, lam: Iterable[int] = (),
     Raises HypothesisViolated when the arguments break the identity's
     hypothesis, and ValueError for unknown identity names.
     """
-    if identity not in _IDENTITIES:
-        raise ValueError(f"unknown identity {identity!r}")
-    lam, nu = normalize(lam), normalize(nu)
-    if identity == "pinned-row":
-        lhs, rhs = _check_pinned_row(n, lam)
-    elif identity == "free-row":
-        lhs, rhs = _check_free_row(n, lam)
-    elif identity == "qtriple":
-        lhs, rhs = _check_qtriple(n, lam)
-    elif identity == "append-one":
-        lhs, rhs = _check_append_one(n, lam)
-    elif identity == "six-term":
-        lhs, rhs = _check_six_term(n, lam, nu)
-    else:
-        if m is None:
-            raise HypothesisViolated("a moved part m is required")
-        if identity == "shift1":
-            lhs, rhs = _check_shift1(n, lam, m, nu)
-        elif identity == "shift2":
-            lhs, rhs = _check_shift2(n, lam, m, nu)
-        else:
-            lhs, rhs = _check_split_pair(n, lam, m, nu)
-    args = [("lam", lam)]
-    if "m" in _IDENTITIES[identity]:
-        args.append(("m", m))
-    if "nu" in _IDENTITIES[identity]:
-        args.append(("nu", nu))
-    return RecurrenceReport(identity, n, tuple(args), lhs, rhs)
-
-
-def _splits_at_single(parts: Partition) -> Iterator[tuple[Partition, int, Partition]]:
-    """(lam, m, nu) with lam > m > nu around every multiplicity-one part."""
-    for i, m in enumerate(parts):
-        if parts.count(m) == 1:
-            yield parts[:i], m, parts[i + 1:]
-
-
-def _splits_at_double(parts: Partition) -> Iterator[tuple[Partition, int, Partition]]:
-    """(lam, m, nu) around every part appearing exactly twice."""
-    for i, m in enumerate(parts):
-        if parts.count(m) == 2 and i + 1 < len(parts) and parts[i + 1] == m:
-            yield parts[:i], m, parts[i + 2:]
+    names, check, _ = _identity(identity)
+    given = {"lam": normalize(lam), "m": m, "nu": normalize(nu)}
+    if "m" in names and m is None:
+        raise HypothesisViolated("a moved part m is required")
+    args = tuple((name, given[name]) for name in names)
+    lhs, rhs = check(n, **dict(args))
+    return RecurrenceReport(identity, n, args, lhs, rhs)
 
 
 def recurrence_arguments(identity: str, n: int,
                          ) -> Iterator[dict[str, object]]:
     """Every admissible argument set with partitions inside staircases."""
-    if identity == "pinned-row":
-        for lam in partitions_in_staircase(n - 1):
-            if lam and lam[0] == n - 1:
-                yield {"lam": lam}
-    elif identity == "free-row":
-        for lam in partitions_in_staircase(n - 1):
-            if not lam or lam[0] <= n - 2:
-                yield {"lam": lam}
-    elif identity == "qtriple":
-        if n >= 2:
-            for lam in partitions_in_staircase(n - 3):
-                yield {"lam": lam}
-    elif identity == "append-one":
-        for lam in partitions_in_staircase(n - 1):
-            if len(lam) < 2 or lam[-2:] != (1, 1):
-                yield {"lam": lam}
-    elif identity in ("shift1", "shift2", "split-pair"):
-        split = _splits_at_single if identity != "split-pair" else _splits_at_double
-        gap = {"shift1": lambda la, m: 2 * n - 2 * m - 1 - la,
-               "shift2": lambda la, m: 2 * n - la - m,
-               "split-pair": lambda la, m: 2 * (n - m - 1) - la}[identity]
-        for parts in partitions_in_staircase(n - 1):
-            for lam, m, nu in split(parts):
-                if identity == "shift1" and nu:
-                    continue
-                if m >= 1 and gap(len(lam), m) >= 0:
-                    yield {"lam": lam, "m": m, "nu": nu}
-    elif identity == "six-term":
-        if n < 2:
-            return
-        for parts in partitions_in_staircase(n - 1):
-            if parts and parts[0] > n - 2:
-                continue
-            for cut in range(len(parts) + 1):
-                yield {"lam": parts[:cut], "nu": parts[cut:]}
-    else:
-        raise ValueError(f"unknown identity {identity!r}")
+    return _identity(identity).arguments(n)
 
 
 def recurrence_suite(max_n: int, identities: Sequence[str] = (),
                      ) -> Iterator[RecurrenceReport]:
     """Reports for every identity at every admissible argument, n <= max_n."""
-    names = tuple(identities) or tuple(_IDENTITIES)
+    names = tuple(identities) or tuple(IDENTITIES)
     for n in range(1, max_n + 1):
         for name in names:
             for args in recurrence_arguments(name, n):

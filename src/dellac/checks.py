@@ -11,7 +11,13 @@ from functools import partial
 from math import comb
 
 from dellac.bijection import phi, psi, varphi
-from dellac.boundary import count_boundary, genocchi_numbers, recurrence_suite, staircase
+from dellac.boundary import (
+    IDENTITIES,
+    count_boundary,
+    genocchi_numbers,
+    recurrence_suite,
+    staircase,
+)
 from dellac.dyck import (
     check_inv_decomposition,
     upper_set_and_coincidence,
@@ -37,10 +43,6 @@ EMBEDDING_PARAMS = [(2, 2, 2), (2, 3, 2), (1, 3, 2), (1, 3, 3)]
 TUPLE_PARAMS = [(1, 2, 3), (2, 2, 2), (1, 3, 2)]
 
 GENOCCHI_PREFIX = (1, 2, 7, 38, 295, 3098, 42271, 726734)
-
-RECURRENCES = ("pinned-row", "free-row", "qtriple", "append-one",
-               "shift1", "shift2", "split-pair", "six-term")
-
 
 def each_config(problem, detail, lmn):
     """(False, "<problem> at <columns>") at the first configuration of the
@@ -186,7 +188,7 @@ REGISTRY = [
      partial(each_config, _xi2_fault, "inv preserved, round trips")),
     ("tuples", "i-collections", TUPLE_PARAMS, partial(tuple_model, "I")),
     ("tuples", "k-collections", TUPLE_PARAMS, partial(tuple_model, "K")),
-    *[("recurrences", name, None, partial(recurrence, name)) for name in RECURRENCES],
+    *[("recurrences", name, None, partial(recurrence, name)) for name in IDENTITIES],
     ("genocchi", "sequence", None, genocchi_sequence),
 ]
 

@@ -290,9 +290,12 @@ def cmd_convert(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_poincare(args, out) -> int:
+    if args.n < 0:
+        return fail_usage("--n must be nonnegative")
     bottom = staircase(args.n - 1) if args.bottom is None else args.bottom
     try:
-        if args.bottom is None and not args.no_dp:
+        # the DP covers staircase bottoms and tops of at most n + 1 parts
+        if bottom == staircase(args.n - 1) and len(args.top) <= args.n + 1:
             poly = q_partition_function_dp(args.n, args.top)
         else:
             poly = q_partition_function(args.n, args.top, bottom)
@@ -420,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=parse_partition, default=())
     p.add_argument("--bottom", type=parse_partition, default=None)
     p.add_argument("--at-q1", action="store_true", dest="at_q1")
-    p.add_argument("--no-dp", action="store_true", dest="no_dp",
-                   help="force direct enumeration")
     common(p)
     p.set_defaults(fn=cmd_poincare)
 

@@ -15,7 +15,7 @@ configuration by 180 degrees gives another configuration.
 from __future__ import annotations
 
 from .grid import Config, Params, inversions
-from .words import Word, inv_word
+from .words import Word, inv_word, split_blocks
 from .bijection import phi
 
 
@@ -78,19 +78,14 @@ def split_phi(phi_word, l: int) -> tuple[Word, Word, Word]:
     """(phi^e, phi^o, sorted phi^e).
 
     With i = pl + q (1 <= q <= l), phi^o_i is the entry at position 2lp+q
-    and phi^e_i the entry at position l(2p+1)+q.
+    and phi^e_i the entry at position l(2p+1)+q: phi^o is the even-block
+    part of ``split_blocks`` and phi^e the odd-block part.
     """
     w = tuple(phi_word)
-    L = len(w)
-    if L % (2 * l):
-        raise DyckError(f"length {L} is not an even multiple of {l}")
-    phi_e, phi_o = [], []
-    for i in range(1, L // 2 + 1):
-        p, q = divmod(i - 1, l)
-        q += 1
-        phi_o.append(w[2 * l * p + q - 1])
-        phi_e.append(w[l * (2 * p + 1) + q - 1])
-    return tuple(phi_e), tuple(phi_o), tuple(sorted(phi_e))
+    if len(w) % (2 * l):
+        raise DyckError(f"length {len(w)} is not an even multiple of {l}")
+    phi_o, phi_e = split_blocks(w, l)
+    return phi_e, phi_o, tuple(sorted(phi_e))
 
 
 def check_inv_decomposition(c: Config) -> bool:

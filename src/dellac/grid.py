@@ -19,7 +19,7 @@ staircase mask of a grid and ``boundary.board_windows`` the mask of a board
 with trimmed corners (l = 1, m = 2).  ``fillings`` enumerates the fillings
 of any mask with their inversion counts, ``check_columns`` validates one
 filling, and ``inversions`` counts the inversions of either kind of
-configuration.
+configuration with ``inv_word``, the package's one inversion counter.
 """
 
 from __future__ import annotations
@@ -187,14 +187,6 @@ class Config:
         out.sort()
         return out
 
-    def rows_to_cols(self) -> list[tuple[int, ...]]:
-        """For each row (1-based index in the list), the sorted column indices."""
-        by_row: list[list[int]] = [[] for _ in range(self.params.rows + 1)]
-        for j, col in enumerate(self.columns, start=1):
-            for i in col:
-                by_row[i].append(j)
-        return [tuple(sorted(js)) for js in by_row]
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -233,21 +225,26 @@ def check_columns(columns: Sequence[Sequence[int]], windows: Windows,
                 f"row {i} holds {row_count[i]} dots, expected {l}")
 
 
+def inv_word(word) -> int:
+    """Number of inversions of a word: position pairs a < b with
+    word[a] > word[b]."""
+    seen: list[int] = []  # the letters before the current one, sorted
+    total = 0
+    for k, v in enumerate(word):
+        total += k - bisect_right(seen, v)
+        insort(seen, v)
+    return total
+
+
 def inversions(c) -> int:
     """Number of dot pairs with one dot strictly higher and strictly to the
     left of the other.
 
-    Reads only ``c.columns``, so it counts grid configurations and boards
-    alike.
+    The inversions of the rows read column by column, bottom to top: rows
+    increase inside a column, so no pair from one column counts.  Reads
+    only ``c.columns``, so it counts grid configurations and boards alike.
     """
-    earlier: list[int] = []  # rows of the dots left of the column, sorted
-    total = 0
-    for col in c.columns:
-        for i in col:
-            total += len(earlier) - bisect_right(earlier, i)
-        for i in col:
-            insort(earlier, i)
-    return total
+    return inv_word([i for col in c.columns for i in col])
 
 
 def dot_inversions(c: Config, dot: tuple[int, int]) -> tuple[int, int]:

@@ -19,7 +19,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations
 from typing import Iterator, Optional
 
-from dellac.grid import Params
+# inv_word is re-exported: the package has one inversion counter, in grid
+from dellac.grid import Params, inv_word
 
 
 class WordError(ValueError):
@@ -52,13 +53,6 @@ class AmbiguousLift(WordError):
 
 
 Word = tuple[int, ...]
-
-
-def inv_word(word) -> int:
-    """Number of inversions of a word."""
-    w = tuple(word)
-    return sum(1 for a in range(len(w)) for b in range(a + 1, len(w))
-               if w[a] > w[b])
 
 
 def invert(perm) -> Word:

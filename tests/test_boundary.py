@@ -12,13 +12,12 @@ from dellac.grid import (
     WindowViolation,
     enumerate_configs,
     fillings,
+    inversions,
 )
-from dellac.grid import inversions as grid_inversions
 from dellac.boundary import (
     BoundaryConfig,
     HypothesisViolated,
     PartitionOutOfStaircase,
-    allowed_rows,
     board_windows,
     boundary_st,
     boundary_st_check,
@@ -26,7 +25,6 @@ from dellac.boundary import (
     count_boundary,
     enumerate_boundary,
     genocchi_numbers,
-    inversions,
     max_inv,
     minus_one,
     normalize,
@@ -91,12 +89,10 @@ def test_partitions_in_staircase_counts():
 # Boards and enumeration
 # ---------------------------------------------------------------------------
 
-def test_allowed_rows_of_the_running_example():
-    cols = allowed_rows(3, (2,), (2, 1))
-    assert [len(rows) for rows in cols] == [5, 4, 4]
-    assert cols[0] == (1, 2, 3, 4, 5)         # row 6 cut by the top part 2
-    assert cols[1] == (2, 3, 4, 5)            # row 1 cut by the bottom part 2
-    assert cols[2] == (3, 4, 5, 6)
+def test_board_windows_of_the_running_example():
+    # the top part 2 cuts row 6 from columns 1 and 2; the bottom parts 2
+    # and 1 cut row 1 from columns 2 and 3 and row 2 from column 3
+    assert board_windows(3, (2,), (2, 1)) == ((1, 5), (2, 5), (3, 6))
 
 
 def test_example_counts():
@@ -153,10 +149,10 @@ def test_staircase_boundaries_match_the_square_grid_family():
         boards = {c.columns for c in enumerate_boundary(n, delta)}
         grids = {c.columns for c in enumerate_configs(Params(1, 2, n))}
         assert boards == grids
-        inv_by_columns = {g.columns: grid_inversions(g)
+        inv_by_columns = {g.columns: inversions(g)
                           for g in enumerate_configs(Params(1, 2, n))}
-        for c in enumerate_boundary(n, delta):
-            assert inversions(c) == inv_by_columns[c.columns]
+        for columns, inv in fillings(board_windows(n, delta), 1, 2):
+            assert inv == inv_by_columns[columns]
 
 
 def fitting_partitions(max_part, max_len):
@@ -326,6 +322,7 @@ def test_column_slack():
     assert column_slack(3, (2,), (2, 1)) == 1
     assert column_slack(3, (2, 1)) == 0       # both boundaries staircases
     assert column_slack(3) == 2               # an empty top frees two rows
+    assert column_slack(0) == 0               # the empty board has no column
 
 
 def test_sigma_word_of_the_first_figure():
@@ -344,9 +341,10 @@ def test_sigma_word_is_a_permutation():
 
 
 def test_st_check_across_boundaries():
-    cases = [(1, (), None), (2, (), None), (3, (), None), (3, (2,), (2, 1)),
-             (3, (1, 1), None), (2, (1,), (1,)), (3, (2, 1), (1,)),
-             (4, (2,), (3, 1)), (3, (), ()), (4, (3, 1), None)]
+    cases = [(0, (), None), (1, (), None), (2, (), None), (3, (), None),
+             (3, (2,), (2, 1)), (3, (1, 1), None), (2, (1,), (1,)),
+             (3, (2, 1), (1,)), (4, (2,), (3, 1)), (3, (), ()),
+             (4, (3, 1), None)]
     for n, top, bottom in cases:
         for c in enumerate_boundary(n, top, bottom):
             assert boundary_st_check(c)

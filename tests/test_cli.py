@@ -8,7 +8,7 @@ import pytest
 from math import comb
 
 from dellac.bijection import phi, varphi
-from dellac.boundary import genocchi_numbers
+from dellac.boundary import count_boundary, genocchi_numbers
 from dellac.checks import GENOCCHI_PREFIX
 from dellac.cli import main, parse_partition, render_word
 from dellac.grid import Config, Params, enumerate_configs, inversions
@@ -204,12 +204,6 @@ def test_poincare_explicit_bottom(capsys):
     assert json.loads(out)["coefficients"] == [1, 2, 3, 2, 1]
 
 
-def test_poincare_enumeration_backend_agrees(capsys):
-    _, fast = run(capsys, "poincare", "--n", "4", "--top", "2,2")
-    _, slow = run(capsys, "poincare", "--n", "4", "--top", "2,2", "--no-dp")
-    assert json.loads(fast)["coefficients"] == json.loads(slow)["coefficients"]
-
-
 def test_poincare_csv(capsys):
     code, out = run(capsys, "poincare", "--n", "2", "--top", "1",
                     "--format", "csv", "--at-q1")
@@ -222,6 +216,28 @@ def test_poincare_domain_errors(capsys):
     assert code == 3
     with pytest.raises(SystemExit) as err:
         main(["poincare", "--n", "3", "--top", "1,2"])
+    assert err.value.code == 2
+
+
+def test_poincare_rejects_a_negative_size(capsys):
+    for extra in ((), ("--bottom", "")):
+        code, out = run(capsys, "poincare", "--n", "-1", *extra)
+        assert code == 2
+        assert out == ""
+
+
+def test_poincare_counts_tops_longer_than_the_dp_takes(capsys):
+    # six parts on a board of size 4 is past the DP's n + 1, so the
+    # staircase board is enumerated
+    code, out = run(capsys, "poincare", "--n", "4", "--top", "1,1,1,1,1,1",
+                    "--at-q1")
+    assert code == 0
+    assert json.loads(out)["at_q1"] == count_boundary(4, (1,) * 6) > 0
+
+
+def test_no_dp_flag_is_gone():
+    with pytest.raises(SystemExit) as err:
+        main(["poincare", "--n", "3", "--no-dp"])
     assert err.value.code == 2
 
 

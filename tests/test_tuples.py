@@ -64,7 +64,12 @@ def test_i_round_trips_and_validates(params):
 @pytest.mark.parametrize(
     "params,count",
     [(Params(1, 2, 3), 7), (Params(2, 2, 2), 6), (Params(1, 3, 2), 6),
-     (Params(2, 2, 1), 1), (Params(1, 2, 2), 2)],
+     (Params(2, 2, 1), 1), (Params(1, 2, 2), 2),
+     # count_i gives 108: 18 collections that validate_i accepts do not
+     # map back to configurations
+     pytest.param(Params(2, 3, 2), 90, marks=pytest.mark.xfail(
+         strict=True, raises=AssertionError,
+         reason="count_i overcounts at l = 2, m = 3"))],
     ids=str,
 )
 def test_i_generation_matches_configs(params, count):
@@ -178,7 +183,7 @@ def test_k_round_trips_and_validates(params):
 @pytest.mark.parametrize(
     "params,count",
     [(Params(1, 2, 3), 7), (Params(2, 2, 2), 6), (Params(1, 3, 2), 6),
-     (Params(2, 2, 1), 1)],
+     (Params(2, 2, 1), 1), (Params(2, 3, 2), 90)],
     ids=str,
 )
 def test_k_generation_matches_configs(params, count):
