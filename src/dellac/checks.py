@@ -159,9 +159,9 @@ def recurrence(identity, max_n):
 def genocchi_sequence(max_n):
     via_dp = genocchi_numbers(max_n)
     for i, value in enumerate(via_dp, start=1):
-        direct = count_boundary(i, staircase(i - 1))
-        if direct != value:
-            return False, f"n={i}: enumeration {direct} != dp {value}"
+        via_transfer = count_boundary(i, staircase(i - 1))
+        if via_transfer != value:
+            return False, f"n={i}: transfer {via_transfer} != dp {value}"
         if i <= len(GENOCCHI_PREFIX) and value != GENOCCHI_PREFIX[i - 1]:
             return False, f"n={i}: {value} != {GENOCCHI_PREFIX[i - 1]}"
     return True, ", ".join(map(str, via_dp))

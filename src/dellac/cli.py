@@ -294,8 +294,8 @@ def cmd_poincare(args, out) -> int:
         return fail_usage("--n must be nonnegative")
     bottom = staircase(args.n - 1) if args.bottom is None else args.bottom
     try:
-        # the DP covers staircase bottoms and tops of at most n + 1 parts
-        if bottom == staircase(args.n - 1) and len(args.top) <= args.n + 1:
+        # the DP covers staircase bottoms; the transfer covers every bottom
+        if bottom == staircase(args.n - 1):
             poly = q_partition_function_dp(args.n, args.top)
         else:
             poly = q_partition_function(args.n, args.top, bottom)

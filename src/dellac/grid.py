@@ -16,10 +16,20 @@ of one inclusive (lo, hi) row window per column, a row capacity l and a
 column size m.  A filling of the mask puts m dots in every column, inside
 its window, and l dots in every row.  ``Params.windows()`` builds the
 staircase mask of a grid and ``boundary.board_windows`` the mask of a board
-with trimmed corners (l = 1, m = 2).  ``fillings`` enumerates the fillings
-of any mask with their inversion counts, ``check_columns`` validates one
+with trimmed corners (l = 1, m = 2).  ``check_columns`` validates one
 filling, and ``inversions`` counts the inversions of either kind of
 configuration with ``inv_word``, the package's one inversion counter.
+
+Listing and counting.  ``fillings`` lists the fillings of any mask with
+their inversion counts; it serves only where a listing is the output
+(``enumerate_configs``, ``boundary.enumerate_boundary``).  Every count and
+q-count goes through ``window_poly``, the transfer-matrix method (Stanley,
+EC1 4.7): it scans the columns once, keeping per state the capacity left in
+each row of the current window, and returns the sum of q^inv over all
+fillings without listing them.  Its domain is the monotone masks, whose
+window ends never fall from one column to the next; grid and board masks
+all are, and any other mask raises ValueError.  ``count_configs`` is its
+value at q = 1.
 """
 
 from __future__ import annotations
@@ -28,8 +38,10 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Iterator, Optional, Sequence
+
+from .qpoly import ONE, ZERO, QPoly
 
 Columns = tuple[tuple[int, ...], ...]
 Windows = tuple[tuple[int, int], ...]
@@ -565,5 +577,104 @@ def enumerate_configs(params: Params) -> Iterator[Config]:
         yield Config(params, columns)
 
 
+# ---------------------------------------------------------------------------
+# Counting: the transfer over a monotone mask
+# ---------------------------------------------------------------------------
+
+def _check_monotone(windows: Windows, rows: int) -> None:
+    """Raise ValueError unless every window lies in rows 1..rows and no
+    window end falls from one column to the next."""
+    for j, (lo, hi) in enumerate(windows, start=1):
+        if lo < 1 or hi > rows:
+            raise ValueError(f"window {lo}..{hi} of column {j} leaves rows 1..{rows}")
+    for j, ((lo, hi), (lo2, hi2)) in enumerate(zip(windows, windows[1:]), start=1):
+        if lo2 < lo or hi2 < hi:
+            raise ValueError(f"window ends fall from column {j} to {j + 1}: "
+                             f"{lo}..{hi} then {lo2}..{hi2}")
+
+
+@lru_cache(maxsize=None)
+def window_poly(windows: Windows, l: int, m: int) -> QPoly:
+    """Sum of q^inversions over every filling of a window mask, without
+    listing the fillings: the transfer-matrix method over the columns.
+
+    Both window ends must be nondecreasing from column to column (every grid
+    and board mask is); any other mask raises ValueError.  Then the rows a
+    column can reach are exactly its window: the rows below it have closed
+    and must be full, the rows above it have not opened and hold nothing.
+    The state after a column is the capacity left in each row of the next
+    window, and a dot placed in row a gains one inversion for every dot of
+    an earlier column in a row above a.  A row whose window closes at this
+    column must be full after it, so it takes its last dot here or the state
+    dies; a row that no window covers leaves the mask with no filling.
+    """
+    cols = len(windows)
+    rows = cols * m // l
+    _check_monotone(windows, rows)
+    if not cols:
+        return ONE
+    if (any(hi - lo + 1 < m for lo, hi in windows)
+            or windows[0][0] > 1 or windows[-1][1] < rows
+            or any(lo2 > hi + 1 for (_, hi), (lo2, _) in zip(windows, windows[1:]))):
+        return ZERO
+    # A state is one integer: the capacity left in row lo + k of the current
+    # window is its digit k, `bits` bits wide.  A polynomial is one integer
+    # too (Kronecker substitution): the coefficient of q^e is its digit e,
+    # `slot` bits wide, and no coefficient can reach 2^slot, because none
+    # exceeds the product of the number of choices in each column.  So
+    # adding two polynomials is one addition and q^e times one is a shift.
+    bits = l.bit_length()
+    digit = (1 << bits) - 1
+    slot = prod(comb(hi - lo + 1, m) for lo, hi in windows).bit_length()
+
+    def fresh(count: int) -> int:
+        """``count`` unopened rows: every digit l."""
+        return sum(l << bits * k for k in range(count))
+
+    lo, hi = windows[0]
+    layer = {fresh(hi - lo + 1): 1}
+    for j, (lo, hi) in enumerate(windows):
+        lo2, hi2 = windows[j + 1] if j + 1 < cols else (hi + 1, hi)
+        width, shut = hi - lo + 1, lo2 - lo  # rows lo .. lo2 - 1 close here
+        opened = fresh(hi2 - hi) << bits * (width - shut)
+        # A free row's choice is coded as (earlier dots above it) << high
+        # plus a unit in its digit, so the sum of one combination of codes
+        # holds both the inversions gained (above bit `high`) and the
+        # capacity taken (below it).
+        high = bits * width
+        low = (1 << high) - 1
+        nxt: dict[int, int] = {}
+        for caps, value in layer.items():
+            forced = gained = above = 0
+            codes = []
+            for k in range(width - 1, -1, -1):
+                cap = caps >> bits * k & digit
+                if k >= shut:
+                    if cap:
+                        codes.append(above << high | 1 << bits * k)
+                elif cap > 1:
+                    break  # a closing row cannot be filled in time
+                elif cap:
+                    forced += 1
+                    gained += above
+                above += l - cap
+            else:
+                if forced > m:
+                    continue
+                for choice in combinations(codes, m - forced):
+                    code = sum(choice)
+                    # closing rows sit in the lowest digits and end empty
+                    key = (caps - (code & low)) >> bits * shut | opened
+                    weight = value << slot * (gained + (code >> high))
+                    nxt[key] = nxt.get(key, 0) + weight
+        layer = nxt
+    packed = layer.get(0, 0)
+    coeffs = []
+    while packed:
+        coeffs.append(packed & (1 << slot) - 1)
+        packed >>= slot
+    return QPoly(coeffs)
+
+
 def count_configs(params: Params) -> int:
-    return sum(1 for _ in fillings(params.windows(), params.l, params.m))
+    return window_poly(params.windows(), params.l, params.m).at_one()

@@ -33,13 +33,13 @@ from dellac.grid import (
     Params,
     count_configs,
     dot_inversions,
-    fillings,
     highest,
     inv_highest,
     inv_lowest,
     inversions,
     lowest,
     tau_of,
+    window_poly,
 )
 from dellac.tuples import count_i, count_k
 from dellac.words import inv_word, st_statistic
@@ -180,7 +180,8 @@ def test_11_rational_count_expansions():
            "in each, so unique-minimum cannot hold there (the closed forms "
            "and the maximum side hold everywhere)")
 def test_12_extremal_configurations():
-    cap = 200_000
+    # the end coefficients of the inversion polynomial, uncapped: the
+    # transfer counts every set without listing a configuration
     sets = [(l, m, n) for l in range(1, 10) for m in range(2, 10)
             for n in range(1, 10) if l * m * n <= 18]
     assert len(sets) == 64
@@ -192,22 +193,14 @@ def test_12_extremal_configurations():
         assert inversions(high) == inv_highest(p), lmn
 
         least, most = inv_lowest(p), inv_highest(p)
-        total = at_min = at_max = 0
-        out_of_range = []
-        for columns, v in fillings(p.windows(), p.l, p.m):
-            total += 1
-            if total > cap:
-                break
-            if not least <= v <= most:
-                out_of_range.append((lmn, "out of range", v, columns))
-            if v == least:
-                at_min += 1
-            if v == most:
-                at_max += 1
-        if total > cap:
-            continue  # enumeration not feasible, closed forms checked above
-
-        violations.extend(out_of_range)
+        coeffs = window_poly(p.windows(), p.l, p.m).coeffs
+        lowest_degree = next(k for k, a in enumerate(coeffs) if a)
+        if lowest_degree < least:
+            violations.append((lmn, "below the minimum", lowest_degree))
+        if len(coeffs) - 1 > most:
+            violations.append((lmn, "above the maximum", len(coeffs) - 1))
+        at_min = coeffs[least] if least < len(coeffs) else 0
+        at_max = coeffs[most] if most < len(coeffs) else 0
         if at_min != 1:
             violations.append((lmn, "minimum not unique", at_min))
         if at_max != 1:

@@ -1,7 +1,8 @@
 """Tests for boards with trimmed corners and their q-counting."""
 
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -13,6 +14,7 @@ from dellac.grid import (
     enumerate_configs,
     fillings,
     inversions,
+    window_poly,
 )
 from dellac.boundary import (
     BoundaryConfig,
@@ -39,7 +41,13 @@ from dellac.boundary import (
     verify_expansion_instance,
     verify_recurrence,
 )
-from dellac.qpoly import QPoly, q_int
+from dellac.qpoly import QPoly, q_binomial, q_int
+
+
+def tally(pairs):
+    """The inversion polynomial of listed (columns, inversions) pairs."""
+    counts = Counter(inv for _, inv in pairs)
+    return QPoly(counts[k] for k in range(max(counts, default=-1) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +96,11 @@ def test_partitions_in_staircase_counts():
 # ---------------------------------------------------------------------------
 # Boards and enumeration
 # ---------------------------------------------------------------------------
+
+def test_board_masks_are_built_once_per_boundary():
+    assert board_windows(3, (2, 0), [2, 1]) is board_windows(3, (2,), (2, 1))
+    assert board_windows(3) is board_windows(3, (), (2, 1))
+
 
 def test_board_windows_of_the_running_example():
     # the top part 2 cuts row 6 from columns 1 and 2; the bottom parts 2
@@ -204,14 +217,16 @@ def brute_force_boards(n, top, bottom):
 def test_board_masks_match_brute_force_on_every_boundary_up_to_four():
     # every top (parts <= n, at most 2n of them) against every bottom
     # (parts <= n, at most n - 1): parts equal to n, tops longer than n and
-    # the empty n = 0 board included
+    # the empty n = 0 board included; the listing and the transfer both
+    # against the brute force
     pairs = boards_seen = empty = 0
     for n in range(0, 5):
         for top in fitting_partitions(n, 2 * n):
             for bottom in fitting_partitions(n, max(n - 1, 0)):
                 want = brute_force_boards(n, top, bottom)
-                got = list(fillings(board_windows(n, top, bottom), 1, 2))
-                assert got == want, (n, top, bottom)
+                mask = board_windows(n, top, bottom)
+                assert list(fillings(mask, 1, 2)) == want, (n, top, bottom)
+                assert window_poly(mask, 1, 2) == tally(want), (n, top, bottom)
                 pairs += 1
                 boards_seen += len(want)
                 empty += not want
@@ -272,21 +287,49 @@ def test_genocchi_recurrence_from_the_gap_family():
         assert lhs == rhs
 
 
+def listed_poly(n, lam):
+    """The staircase-bottom polynomial tallied from the listed boards."""
+    return tally(fillings(board_windows(n, lam), 1, 2))
+
+
 def test_dp_agrees_with_enumeration_up_to_five():
     for n in range(0, 6):
         for lam in partitions_in_staircase(n - 1):
-            assert q_partition_function(n, lam) == q_partition_function_dp(n, lam)
+            assert listed_poly(n, lam) == q_partition_function_dp(n, lam)
 
 
 def test_dp_agrees_with_enumeration_at_six_spots():
     for lam in [(), (1,), (3, 2), (5, 4, 3, 2, 1), (5, 4, 2, 1), (4, 4, 1, 1),
                 (2, 2, 1, 1), (3, 1, 1), (5, 3, 1)]:
-        assert q_partition_function(6, lam) == q_partition_function_dp(6, lam)
+        assert listed_poly(6, lam) == q_partition_function_dp(6, lam)
 
 
-def test_dp_rejects_overlong_partitions():
-    with pytest.raises(ValueError):
-        q_partition_function_dp(2, (1, 1, 1, 1))
+def test_dp_equals_the_transfer_on_every_fitting_top_up_to_six():
+    # every top the board takes (parts <= n, at most 2n of them), most of
+    # them longer than the n + 1 rows the last column reaches
+    tops = longer = 0
+    for n in range(1, 7):
+        for top in fitting_partitions(n, 2 * n):
+            assert q_partition_function_dp(n, top) == q_partition_function(n, top), (n, top)
+            tops += 1
+            longer += len(top) > n + 1
+    assert (tops, longer) == (22164, 19812)
+
+
+def test_transfer_agrees_with_the_dp_up_to_eight():
+    for n in range(1, 9):
+        for lam in partitions_in_staircase(n - 1):
+            assert q_partition_function(n, lam) == q_partition_function_dp(n, lam), (n, lam)
+
+
+def test_empty_top_closed_form():
+    # staircase bottom, nothing cut from the top: prod_{k=2..n} [k+1 choose 2]_q
+    at_one = []
+    for n in range(1, 9):
+        closed = prod((q_binomial(k + 1, 2) for k in range(2, n + 1)), start=QPoly((1,)))
+        assert closed == q_partition_function_dp(n) == q_partition_function(n), n
+        at_one.append(closed.at_one())
+    assert at_one == [1, 3, 18, 180, 2700, 56700, 1587600, 57153600]
 
 
 def test_max_inv_matches_degree_on_clean_partitions():

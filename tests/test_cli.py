@@ -226,9 +226,9 @@ def test_poincare_rejects_a_negative_size(capsys):
         assert out == ""
 
 
-def test_poincare_counts_tops_longer_than_the_dp_takes(capsys):
-    # six parts on a board of size 4 is past the DP's n + 1, so the
-    # staircase board is enumerated
+def test_poincare_takes_tops_longer_than_n_plus_one(capsys):
+    # six parts on a board of size 4 reach below the n + 1 rows of the last
+    # column; the DP passes those parts to the smaller board unchanged
     code, out = run(capsys, "poincare", "--n", "4", "--top", "1,1,1,1,1,1",
                     "--at-q1")
     assert code == 0

@@ -6,6 +6,7 @@ row counts work out.  The production enumerator must agree with it exactly.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -29,8 +30,10 @@ from dellac.grid import (
     replay_switches,
     switch_decomposition,
     tau_of,
+    window_poly,
     word_of,
 )
+from dellac.qpoly import ONE, ZERO, QPoly
 
 SMALL_PARAMS = [
     (1, 2, 1), (1, 2, 2), (1, 2, 3), (1, 2, 4),
@@ -197,6 +200,47 @@ def test_enumerate_with_inversions_agrees(lmn):
     assert [cols for cols, _ in paired] == [c.columns for c in enumerate_configs(p)]
     for cols, inv in paired:
         assert inv == inversions(Config(p, cols))
+
+
+def tally(pairs):
+    """The inversion polynomial of listed (columns, inversions) pairs."""
+    counts = Counter(inv for _, inv in pairs)
+    return QPoly(counts[k] for k in range(max(counts, default=-1) + 1))
+
+
+def test_transfer_matches_the_listed_fillings_on_every_small_grid():
+    sets = [(l, m, n) for l in range(1, 13) for m in range(2, 13)
+            for n in range(1, 13) if l * m * n <= 12]
+    assert len(sets) == 39
+    for lmn in sets:
+        p = Params(*lmn)
+        listed = tally(fillings(p.windows(), p.l, p.m))
+        assert window_poly(p.windows(), p.l, p.m) == listed, lmn
+        assert count_configs(p) == listed.at_one(), lmn
+
+
+def test_transfer_counts_grids_beyond_enumeration():
+    # both agree with an independent transfer whose state holds every row
+    assert count_configs(Params(2, 3, 4)) == 1_105_449_600
+    assert count_configs(Params(3, 3, 3)) == 293_774_420
+
+
+def test_transfer_rejects_masks_that_are_not_monotone():
+    for windows in (((1, 4), (1, 3)),    # the upper end falls
+                    ((2, 4), (1, 4)),    # the lower end falls
+                    ((0, 4), (1, 4)),    # a window below row 1
+                    ((1, 5), (1, 5))):   # a window above the last row
+        with pytest.raises(ValueError):
+            window_poly(windows, 1, 2)
+
+
+def test_transfer_of_masks_without_fillings():
+    assert window_poly((), 1, 2) == ONE
+    for windows in (((1, 2), (1, 2)),    # rows 3 and 4 lie in no window
+                    ((1, 1), (2, 4)),    # a window narrower than m
+                    ((1, 2), (1, 2), (4, 6))):  # row 3 lies in no window
+        assert window_poly(windows, 1, 2) == ZERO
+        assert list(fillings(windows, 1, 2)) == []
 
 
 def test_word_of_example():
