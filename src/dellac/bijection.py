@@ -11,7 +11,7 @@ two sides together.
 from __future__ import annotations
 
 from .grid import Config, Params, word_of
-from .words import Word, destandardize, recover_pi
+from .words import Word, column_words, destandardize, recover_pi
 
 
 def phi1(c: Config) -> Word:
@@ -55,13 +55,9 @@ def varphi(c: Config) -> Word:
 
 def psi(sigma, params: Params) -> Config:
     """Inverse of varphi: recover the unique lift, then read each column's
-    dot rows out of it.  Rejections from the lift search propagate."""
-    pi = recover_pi(sigma, params)
-    pos = {v: i for i, v in enumerate(pi, start=1)}  # pi^{-1}
-    l, m, r = params.l, params.m, params.prefix_len
-    columns = []
-    for j in range(1, params.cols + 1):
-        labels = ((pos[r + (j - 1) * m + k] + l - 1) // l for k in range(1, m + 1))
-        columns.append(tuple(sorted(params.row_of_label(lab) for lab in labels)))
-    return Config(params, tuple(columns))
-
+    dot rows off its column word.  Rejections from the lift search
+    propagate."""
+    l = params.l
+    return Config(params, tuple(
+        tuple(sorted(params.row_of_label((s + l - 1) // l) for s in word))
+        for word in column_words(recover_pi(sigma, params), params)))

@@ -1,22 +1,32 @@
 """Generalized permutations, Dumont permutations, and the st statistic.
 
 A generalized permutation of order L = n*l is a word over [n] in which every
-letter appears exactly l times.  Standardization replaces the l copies of
-each letter i by (i-1)l+1 .. il left to right; destandardization divides
-values by l (rounding up).
+letter appears exactly l times.  Destandardization dStd^l divides the
+values of a permutation by l (rounding up).
 
 A normalized Dumont permutation sigma (relative to grid parameters) pins a
 batch of small values on the odd blocks and a batch of large values on the
 trailing even blocks, and requires a unique lift pi with dStd(pi) = sigma
 whose position blocks increase and whose column words (read through pi^{-1})
-all satisfy the parity property.  The lift is recovered here by constraint
-propagation plus a tiny backtracking search over the per-letter choices the
-block condition leaves open; a second lift raises AmbiguousLift.
+all satisfy the parity property.
+
+One backtracking search, ``lifts``, finds such lifts.  It places the value
+classes in order, deals each class over the blocks in ascending parts, and
+cuts a branch as soon as a column word it completes fails.  It has two
+modes:
+
+* given sigma, the blocks of each class are fixed by sigma, and
+  ``recover_pi`` takes lifts until it has two (a second raises
+  AmbiguousLift);
+* given no word, it lists the lifts of every pinned word, and
+  ``enumerate_normalized_dumont`` keeps the words that have exactly one.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, groupby, islice
 from typing import Iterator, Optional
 
 # inv_word is re-exported: the package has one inversion counter, in grid
@@ -63,19 +73,6 @@ def invert(perm) -> Word:
     return tuple(out)
 
 
-def standardize(word) -> Word:
-    """Std: make a word into a permutation, relabeling duplicates left to
-    right.  The letters must all have the same multiplicity."""
-    w = tuple(word)
-    values = sorted(set(w))
-    counts = {v: w.count(v) for v in values}
-    l = counts[values[0]]
-    if any(c != l for c in counts.values()) or values != list(range(1, len(values) + 1)):
-        raise WordError(f"not a generalized permutation: {w}")
-    next_slot = {v: (i for i in range((v - 1) * l + 1, v * l + 1)) for v in values}
-    return tuple(next(next_slot[v]) for v in w)
-
-
 def destandardize(perm, l: int) -> Word:
     """dStd^l: divide all values by l, rounding up."""
     p = tuple(perm)
@@ -98,9 +95,9 @@ def is_gen_dumont(word, l: int) -> bool:
 
     This is the published blockwise generalization of the classical
     sigma(2i-1) > 2i-1, sigma(2i) < 2i condition.  Beware that for m >= 3 the
-    images of the configuration bijection can violate it (see
-    ``label_entry_bounds`` for the sharp blockwise ranges), so normalized-
-    Dumont acceptance does not route through this predicate.
+    images of the configuration bijection can violate it (their entries are
+    bounded by the column windows instead, which the lift search checks), so
+    normalized-Dumont acceptance does not route through this predicate.
     """
     w = tuple(word)
     if len(w) % (2 * l):
@@ -167,34 +164,121 @@ def check_pins(sigma: Word, params: Params) -> None:
                     f"position {p * l + q} must hold {v}, found {sigma[p * l + q - 1]}")
 
 
-def label_entry_bounds(params: Params) -> dict[int, tuple[int, int]]:
-    """Inclusive value range per non-pinned block index.
-
-    Block p of a word image describes where the dots of one grid row sit,
-    read through ceil(position / l).  The window condition limits that row's
-    columns, which pins each block's entries to an interval.  Pinned blocks
-    are excluded; together the two cover every block index.
-    """
-    l, m, n = params.l, params.m, params.n
-    r_l = params.prefix_len // l
-    pins = pinned_blocks(params)
-    bounds: dict[int, tuple[int, int]] = {}
-    for p in range(params.num_values):
-        if p in pins:
-            continue
-        i = params.row_of_label(p + 1)
-        lo = r_l + m * max(0, i - (m - 1) * n - 1) + 1
-        hi = r_l + m * min(i, n)
-        bounds[p] = (lo, hi)
-    return bounds
-
-
 def column_words(pi: Word, params: Params) -> list[Word]:
     """The ln column words pi'_p read through the inverse of pi."""
     inv = invert(pi)
     r, m = params.prefix_len, params.m
     return [tuple(inv[r + p * m + k - 1] for k in range(1, m + 1))
             for p in range(params.l * params.n)]
+
+
+@lru_cache(maxsize=None)
+def _column_tests(params: Params) -> tuple[tuple, tuple[int, ...]]:
+    """The constants of the column test: for each value class, the columns
+    it completes (value range and window), and the grid row that every
+    position's block names (0, outside every window, for a pinned block)."""
+    l, m, r = params.l, params.m, params.prefix_len
+    half = params.num_values
+    pins = pinned_blocks(params)
+    # column p reads the values r + pm + 1 .. r + (p+1)m, so it is
+    # complete once the class of its top value is placed
+    ready: list[list] = [[] for _ in range(half + 1)]
+    for p in range(params.cols):
+        ready[(r + (p + 1) * m + l - 1) // l].append(
+            (range(r + p * m + 1, r + (p + 1) * m + 1), *params.window(p + 1)))
+    row_at = (0,) + tuple(0 if s // l in pins else params.row_of_label(s // l + 1)
+                          for s in range(params.word_len))
+    return tuple(map(tuple, ready)), row_at
+
+
+def lifts(params: Params, sigma=None) -> Iterator[Word]:
+    """Every block-increasing lift pi whose column words pass the column
+    test, found by one backtracking search over the value classes.
+
+    Class k holds the values (k-1)l+1 .. kl.  For k = 1 .. L/l in turn the
+    search chooses how many of the class's values each block takes (its
+    share), deals the values out over those blocks (each block's part
+    ascending, filling the block left to right) and tests every column
+    word the class completes: m distinct rows, all inside the column's
+    window, and the parity property.
+
+    With sigma, a generalized permutation whose blocks are weakly
+    increasing (``recover_pi`` checks both), letter k of sigma fixes the
+    share, and the lifts of sigma come out in lexicographic order.  Without
+    sigma a pinned class fills its pinned block and any other class goes to
+    unpinned blocks with room, which yields every lift of every pinned word
+    with weakly increasing blocks.
+    """
+    l, m = params.l, params.m
+    half = params.num_values
+    ready, row_at = _column_tests(params)
+    # the classes whose share is fixed: all of them when sigma is given
+    if sigma is None:
+        pins = pinned_blocks(params)
+        fixed = {v: [(p, l)] for p, v in pins.items()}
+        free = [p for p in range(half) if p not in pins]
+    else:
+        fixed = {}
+        for p in range(half):
+            for k, group in groupby(sigma[p * l:(p + 1) * l]):
+                fixed.setdefault(k, []).append((p, len(tuple(group))))
+    pi = [0] * params.word_len
+    inv = [0] * (params.word_len + 1)  # inv[v] = position of value v (1-based)
+    room = [l] * half  # free slots left in each block
+
+    def shares(k: int) -> Iterator[list[tuple[int, int]]]:
+        if k in fixed:
+            yield fixed[k]
+        else:
+            for combo in combinations_with_replacement([p for p in free if room[p]], l):
+                share = [(p, len(tuple(group))) for p, group in groupby(combo)]
+                if all(c <= room[p] for p, c in share):
+                    yield share
+
+    def deal(values: tuple[int, ...], share) -> list[list[tuple[int, tuple[int, ...]]]]:
+        """Every split of the ascending values into the share's parts, in
+        lexicographic order of the values read block by block."""
+        (p, c), rest = share[0], share[1:]
+        if not rest:
+            return [[(p, values)]]
+        return [[(p, part)] + tail
+                for part in combinations(values, c)
+                for tail in deal(tuple(v for v in values if v not in part), rest)]
+
+    def columns_ok(k: int) -> bool:
+        for values, w_lo, w_hi in ready[k]:
+            word = [inv[v] for v in values]
+            # each letter of a column word names one value class, and the
+            # classes beyond the pinned ones are in bijection with grid
+            # rows: a genuine column has m distinct rows, all inside the
+            # column's window (for l = 1, m = 2 this is the classical
+            # Dumont inequality)
+            rows = {row_at[s] for s in word}
+            if (len(rows) < m or min(rows) < w_lo or max(rows) > w_hi
+                    or not parity_property(word, l, m)):
+                return False
+        return True
+
+    def search(k: int) -> Iterator[Word]:
+        if k > half:
+            yield tuple(pi)
+            return
+        values = tuple(range((k - 1) * l + 1, k * l + 1))
+        for share in shares(k):
+            for split in deal(values, share):
+                for p, part in split:
+                    slot = p * l + l - room[p]
+                    for v in part:
+                        pi[slot] = v
+                        inv[v] = slot + 1
+                        slot += 1
+                    room[p] -= len(part)
+                if columns_ok(k):
+                    yield from search(k + 1)
+                for p, part in split:
+                    room[p] += len(part)
+
+    yield from search(1)
 
 
 def recover_pi(sigma, params: Params) -> Word:
@@ -204,7 +288,7 @@ def recover_pi(sigma, params: Params) -> Word:
     sigma is not a normalized Dumont permutation.
     """
     sigma = tuple(sigma)
-    l, m = params.l, params.m
+    l = params.l
     L = params.word_len
     if len(sigma) != L or not is_gen_perm(sigma, l):
         raise NoValidPi(f"not a generalized permutation of order {L}")
@@ -214,81 +298,15 @@ def recover_pi(sigma, params: Params) -> Word:
         blk = sigma[p:p + l]
         if any(a > b for a, b in zip(blk, blk[1:])):
             raise NoValidPi(f"block {blk} at position {p + 1} not increasing")
-
-    half = params.num_values
-    positions = {k: [i for i, v in enumerate(sigma) if v == k]
-                 for k in range(1, half + 1)}
-    r = params.prefix_len
-    # column p needs every value class up to its top value assigned
-    cols_ready_at = {k: [] for k in range(1, half + 1)}
-    for p in range(l * params.n):
-        top_class = (r + (p + 1) * m + l - 1) // l
-        cols_ready_at[top_class].append(p)
-
-    pi = [0] * L
-    inv = [0] * (L + 1)  # inv[v] = position of value v (1-based), 0 = unset
-    solutions: list[Word] = []
-    saw_parity_failure = [False]
-
-    def class_assignments(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        """All ways to give the l positions of letter k the values of its
-        class, respecting increase inside a position block."""
-        pos = positions[k]
-        vals = range((k - 1) * l + 1, k * l + 1)
-        for perm in permutations(vals):
-            ok = True
-            for a in range(len(pos)):
-                for b in range(a + 1, len(pos)):
-                    if pos[a] // l == pos[b] // l and perm[a] > perm[b]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                yield tuple(zip(pos, perm))
-
-    def columns_ok(k: int) -> bool:
-        for p in cols_ready_at[k]:
-            word = tuple(inv[r + p * m + j] for j in range(1, m + 1))
-            # each letter of a column word names one value class, and the
-            # classes beyond the pinned ones are in bijection with grid
-            # rows: a genuine column has m distinct rows, all inside the
-            # column's window (for l = 1, m = 2 this is the classical
-            # Dumont inequality)
-            rows = {params.row_of_label((s + l - 1) // l) for s in word}
-            w_lo, w_hi = params.window(p + 1)
-            if (len(rows) < m
-                    or not all(w_lo <= i <= w_hi for i in rows)
-                    or not parity_property(word, l, m)):
-                saw_parity_failure[0] = True
-                return False
-        return True
-
-    def search(k: int) -> None:
-        if k > half:
-            solutions.append(tuple(pi))
-            return
-        for assignment in class_assignments(k):
-            for pos, v in assignment:
-                pi[pos] = v
-                inv[v] = pos + 1
-            if columns_ok(k):
-                search(k + 1)
-            for pos, v in assignment:
-                pi[pos] = 0
-                inv[v] = 0
-            if len(solutions) > 1:
-                return
-
-    search(1)
-    if not solutions:
-        if saw_parity_failure[0]:
-            raise ParityViolation(
-                "every increasing-block lift fails the parity or column-window property")
-        raise NoValidPi("no increasing-block lift exists")
-    if len(solutions) > 1:
-        raise AmbiguousLift(f"lift of {sigma} is not unique: {solutions[:2]}")
-    return solutions[0]
+    # every weakly increasing block word has a block-increasing lift, so an
+    # empty search means each one failed a column test
+    found = list(islice(lifts(params, sigma), 2))
+    if not found:
+        raise ParityViolation(
+            "every increasing-block lift fails the parity or column-window property")
+    if len(found) > 1:
+        raise AmbiguousLift(f"lift of {sigma} is not unique: {found}")
+    return found[0]
 
 
 def is_normalized_dumont(sigma, params: Params) -> Optional[Word]:
@@ -346,53 +364,9 @@ def st_statistic(sigma, params: Params) -> int:
 # Direct enumeration (used to certify the bijection image)
 # ---------------------------------------------------------------------------
 
-def enumerate_normalized_dumont(params: Params, use_entry_bounds: bool = True
-                                ) -> Iterator[Word]:
-    """Generate all normalized Dumont permutations for these parameters by
-    constraint propagation over blocks, independent of any configuration
-    bijection.
-
-    With use_entry_bounds the per-block candidate values are restricted to
-    the window-derived intervals of label_entry_bounds; without it every
-    block-monotone pinned word is tried, which is slower but serves as a
-    completeness cross-check at small parameters.
-    """
-    l = params.l
-    half = params.num_values
-    pins = pinned_blocks(params)
-    bounds = label_entry_bounds(params) if use_entry_bounds else {}
-    remaining = [l] * (half + 1)  # remaining[v] = copies of v still to place
-    remaining[0] = 0
-    for v in pins.values():
-        remaining[v] -= l
-        if remaining[v] < 0:
-            raise AssertionError("pin multiset broken")
-    blocks: list[tuple[int, ...]] = []
-
-    def rec(p: int) -> Iterator[Word]:
-        if p == half:
-            sigma = tuple(v for blk in blocks for v in blk)
-            if is_normalized_dumont(sigma, params) is not None:
-                yield sigma
-            return
-        if p in pins:
-            blocks.append((pins[p],) * l)
-            yield from rec(p + 1)
-            blocks.pop()
-            return
-        lo, hi = bounds.get(p, (1, half))
-        allowed = [v for v in range(lo, hi + 1) if remaining[v]]
-        for blk in combinations_with_replacement(allowed, l):
-            ok = True
-            for v in blk:
-                remaining[v] -= 1
-                if remaining[v] < 0:
-                    ok = False
-            if ok:
-                blocks.append(blk)
-                yield from rec(p + 1)
-                blocks.pop()
-            for v in blk:
-                remaining[v] += 1
-
-    yield from rec(0)
+def enumerate_normalized_dumont(params: Params) -> Iterator[Word]:
+    """All normalized Dumont permutations for these parameters, in sorted
+    order, independent of any configuration bijection: the destandardized
+    lifts of the search that have exactly one lift."""
+    tally = Counter(destandardize(pi, params.l) for pi in lifts(params))
+    yield from sorted(sigma for sigma, count in tally.items() if count == 1)

@@ -20,14 +20,13 @@ from dellac.words import (
     is_gen_dumont,
     is_normalized_dumont,
     is_normalized_dumont_12,
-    label_entry_bounds,
+    lifts,
     parity_property,
     pinned_blocks,
     recover_pi,
     split_blocks,
     st_from_pi,
     st_statistic,
-    standardize,
 )
 
 # Worked (2,3,3) pair: a normalized Dumont permutation and its unique lift.
@@ -35,11 +34,6 @@ SIGMA_233 = (5, 8, 1, 1, 7, 10, 2, 2, 4, 8, 3, 4,
              9, 11, 5, 7, 10, 11, 6, 9, 12, 12, 3, 6)
 PI_233 = (10, 15, 1, 2, 13, 20, 3, 4, 7, 16, 5, 8,
           18, 21, 9, 14, 19, 22, 11, 17, 23, 24, 6, 12)
-
-
-def test_standardize():
-    assert standardize((2, 2, 1, 3, 1, 3)) == (3, 4, 1, 5, 2, 6)
-    assert standardize((1, 2, 3)) == (1, 2, 3)
 
 
 def test_destandardize():
@@ -70,26 +64,9 @@ def test_is_gen_dumont_classical():
 def test_is_gen_dumont_generalized():
     # The naive blockwise generalization is NOT satisfied by every image of
     # the configuration bijection once m >= 3: this genuine image has block 4
-    # holding (4, 8), and 4 fails the "> 5" branch.  The sharp per-block
-    # ranges come from the window geometry instead.
+    # holding (4, 8), and 4 fails the "> 5" branch.
     assert not is_gen_dumont(SIGMA_233, 2)
     assert not is_gen_dumont((1, 1, 2, 2), 2)  # block 0 needs values > 1
-    bounds = label_entry_bounds(Params(2, 3, 3))
-    assert set(bounds) | set(pinned_blocks(Params(2, 3, 3))) == set(range(12))
-    for p, (lo, hi) in bounds.items():
-        for q in range(2):
-            assert lo <= SIGMA_233[2 * p + q] <= hi
-
-
-def test_label_entry_bounds_cover_images():
-    for lmn in [(1, 2, 2), (1, 2, 3), (2, 2, 2), (1, 3, 2)]:
-        p = Params(*lmn)
-        bounds = label_entry_bounds(p)
-        for c in enumerate_configs(p):
-            sigma = destandardize(phi_word(c), p.l)
-            for blk, (lo, hi) in bounds.items():
-                for q in range(p.l):
-                    assert lo <= sigma[blk * p.l + q] <= hi
 
 
 def phi_word(c):
@@ -135,7 +112,6 @@ def test_recover_pi_worked_example():
     # the lift is not the left-to-right standardization: letter 5 sits at
     # positions 1 and 15 but receives 10 before 9
     assert PI_233[0] == 10 and PI_233[14] == 9
-    assert standardize(SIGMA_233) != PI_233
 
 
 def test_st_worked_example():
@@ -166,6 +142,9 @@ def test_rejections():
     ((1, 2, 1), 1), ((1, 2, 2), 2), ((1, 2, 3), 7),
     ((2, 2, 1), 1), ((2, 2, 2), 6),
     ((1, 3, 1), 1), ((1, 3, 2), 6),
+    # fewer words than the 20 and 70 configurations: dStd^l merges lifts
+    ((3, 2, 2), 4), ((4, 2, 2), 6),
+    ((2, 3, 2), 90), ((1, 2, 5), 295),
 ])
 def test_enumerate_normalized_dumont_counts(lmn, count):
     p = Params(*lmn)
@@ -188,12 +167,62 @@ def test_reduced_condition_matches_full_acceptance(n):
     assert full == set(enumerate_normalized_dumont(p))
 
 
+def pinned_block_words(p):
+    """Every word with the pinned blocks of p whose blocks are weakly
+    increasing: the candidates of a generate-and-test enumerator."""
+    pins = pinned_blocks(p)
+    left = {v: p.l for v in range(1, p.num_values + 1)}
+    for v in pins.values():
+        left[v] = 0
+    blocks = []
+
+    def rec(b):
+        if b == p.num_values:
+            yield tuple(v for blk in blocks for v in blk)
+        elif b in pins:
+            blocks.append((pins[b],) * p.l)
+            yield from rec(b + 1)
+            blocks.pop()
+        else:
+            for blk in itertools.combinations_with_replacement(
+                    [v for v in left if left[v]], p.l):
+                if all(blk.count(v) <= left[v] for v in blk):
+                    for v in blk:
+                        left[v] -= 1
+                    blocks.append(blk)
+                    yield from rec(b + 1)
+                    blocks.pop()
+                    for v in blk:
+                        left[v] += 1
+
+    yield from rec(0)
+
+
 @pytest.mark.parametrize("lmn", [
     (1, 2, 1), (1, 2, 2), (1, 2, 3), (2, 2, 1), (2, 2, 2),
-    (1, 3, 1), (1, 3, 2), (2, 3, 1),
+    (1, 3, 1), (1, 3, 2), (2, 3, 1), (3, 2, 2),
 ])
 def test_entry_bound_pruning_is_complete(lmn):
+    # the lift search cuts a branch as soon as a column word fails, so it
+    # must find the same words as generate-and-test over every candidate
+    # (the name is that of the entry-bound prune this test first checked)
     p = Params(*lmn)
-    pruned = list(enumerate_normalized_dumont(p))
-    unpruned = list(enumerate_normalized_dumont(p, use_entry_bounds=False))
-    assert pruned == unpruned
+    reference = [s for s in pinned_block_words(p) if is_normalized_dumont(s, p) is not None]
+    assert reference == list(enumerate_normalized_dumont(p))
+
+
+# every (l, m, n) with l*m*n <= 8 except (1, 8, 1), whose search alone takes
+# about a second, and four larger sets
+LIFT_PARAMS = [(l, m, n) for l in range(1, 9) for m in range(2, 9) for n in range(1, 9)
+               if l * m * n <= 8 and (l, m, n) != (1, 8, 1)]
+LIFT_PARAMS += [(3, 2, 2), (2, 3, 2), (2, 2, 3), (1, 2, 5)]
+
+
+@pytest.mark.parametrize("lmn", LIFT_PARAMS)
+def test_lifts_are_the_phi_images(lmn):
+    # the word engine's search, run without a word, lists exactly the
+    # permutation lifts phi(c) of the configurations; at (3,2,2) some of
+    # these share a word after dStd^l, so the shortfall of normalized Dumont
+    # words there comes from that step alone
+    p = Params(*lmn)
+    assert sorted(lifts(p)) == sorted(phi_word(c) for c in enumerate_configs(p))
