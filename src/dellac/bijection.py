@@ -58,6 +58,7 @@ def psi(sigma, params: Params) -> Config:
     dot rows off its column word.  Rejections from the lift search
     propagate."""
     l = params.l
+    rows_by_label = params.rows_by_label()
     return Config(params, tuple(
-        tuple(sorted(params.row_of_label((s + l - 1) // l) for s in word))
+        tuple(sorted(rows_by_label[(s + l - 1) // l] for s in word))
         for word in column_words(recover_pi(sigma, params), params)))

@@ -3,14 +3,19 @@
 A board of size n has n columns and 2n rows, two dots per column and one per
 row.  Two partitions cut admissible boxes away: ``top`` removes leading boxes
 from the highest rows, ``bottom`` removes trailing boxes from the lowest
-rows.  Every column keeps one interval of rows, so a board is a window mask
-in the sense of ``grid`` with row capacity 1 and column size 2:
-``board_windows`` builds the mask (once per boundary), ``grid.fillings``
-lists its boards, ``grid.window_poly`` counts them by the transfer and
-``grid.inversions`` counts inversions, exactly as for grid configurations.
-When both partitions are the staircase (n-1, ..., 1) the mask is exactly the
-window of the square-grid family at (1, 2, n), so these boards interpolate
-between that family and the free two-dots-per-column boards.
+rows.  Every column keeps one interval of rows, so a ``Board(n, top,
+bottom)`` is a window mask and a labelled shape in the sense of ``grid``,
+with row capacity 1 and column size 2, and a filled board is a
+``grid.Config``: ``grid.fillings`` lists the boards, ``grid.window_poly``
+counts them by the transfer and ``grid.inversions`` counts inversions,
+exactly as for grid configurations.  When both partitions are the staircase
+(n-1, ..., 1) the mask is exactly the window of the square-grid family at
+(1, 2, n), so these boards interpolate between that family and the free
+two-dots-per-column boards.
+
+The board word (the paper's sigma word) is ``bijection.phi1`` of the
+board, labelled by ``grid.labelling`` like a grid's, and ``boundary_st``
+reads ``words.st_from_pi`` off its lift ``bijection.phi``.
 
 Which functions list and which count: ``enumerate_boundary`` lists the
 boards; ``count_boundary`` and the q-partition function
@@ -33,15 +38,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import grid
-from .grid import Windows, check_columns, fillings, window_poly
+from .bijection import phi
+from .grid import Config, Shape, Windows, enumerate_configs, inversions, window_poly
 from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int
-from .words import invert, st_from_pi
+from .words import st_from_pi
 
 Partition = tuple[int, ...]
 
@@ -124,93 +129,77 @@ def _drop(parts: Sequence[int], *positions: int) -> Partition:
 # Boards
 # ---------------------------------------------------------------------------
 
-def _check_boundaries(n: int, top: Partition, bottom: Partition) -> None:
-    if n < 0:
-        raise ValueError("board size must be nonnegative")
-    if top and (top[0] > n or len(top) > 2 * n):
-        raise PartitionOutOfStaircase(
-            f"top partition {top} does not fit on a board of size {n}")
-    if bottom and (bottom[0] > n or len(bottom) > max(n - 1, 0)):
-        raise PartitionOutOfStaircase(
-            f"bottom partition {bottom} does not fit on a board of size {n}")
-
-
-def board_windows(n: int, top: Iterable[int] = (),
-                  bottom: Iterable[int] | None = None) -> Windows:
-    """The window mask of a board: the (lo, hi) admissible rows
-    (bottom-based) of every column, left to right.
+@dataclass(frozen=True)
+class Board(Shape):
+    """A board of size n with trimmed corners: a window mask of n columns
+    and 2n rows, row capacity 1 and column size 2, labelled as a ``Shape``.
+    Its fillings are ``grid.Config``s.
 
     ``top`` forbids, in the i-th highest row, the leftmost top_i columns, so
     column j loses the highest #{i : top_i >= j} rows; ``bottom`` forbids,
     in the r-th lowest row (r < n), the rightmost bottom_r columns, so
     column j loses the lowest #{r : bottom_r > n - j} rows.  ``bottom=None``
-    means the staircase.  Both window ends are nondecreasing in j, as
-    ``grid.window_poly`` requires.
-    """
-    return _board_windows(
-        n, normalize(top), staircase(n - 1) if bottom is None else normalize(bottom))
-
-
-# Every BoundaryConfig validates against this mask, and column_slack reads
-# it for every board: one mask per normalized (n, top, bottom).
-@lru_cache(maxsize=None)
-def _board_windows(n: int, top: Partition, bottom: Partition) -> Windows:
-    _check_boundaries(n, top, bottom)
-    return tuple((1 + sum(1 for b in bottom if b > n - j),
-                  2 * n - sum(1 for t in top if t >= j))
-                 for j in range(1, n + 1))
-
-
-@dataclass(frozen=True)
-class BoundaryConfig:
-    """A filled board: two dots per column, one per row, boundaries kept.
-
-    Invalid boards raise the ``grid.ConfigError`` subclasses, as
-    configurations do.
+    means the staircase.  Both partitions are normalized once, here.
     """
 
     n: int
-    top: Partition
-    bottom: Partition
-    columns: tuple[tuple[int, int], ...]
+    top: Partition = ()
+    bottom: Partition | None = None
+
+    l = 1
+    m = 2
 
     def __post_init__(self) -> None:
-        windows = board_windows(self.n, self.top, self.bottom)
-        check_columns(self.columns, windows, 1, 2)
+        n = self.n
+        top = normalize(self.top)
+        bottom = staircase(n - 1) if self.bottom is None else normalize(self.bottom)
+        if n < 0:
+            raise ValueError("board size must be nonnegative")
+        if top and (top[0] > n or len(top) > 2 * n):
+            raise PartitionOutOfStaircase(
+                f"top partition {top} does not fit on a board of size {n}")
+        if bottom and (bottom[0] > n or len(bottom) > max(n - 1, 0)):
+            raise PartitionOutOfStaircase(
+                f"bottom partition {bottom} does not fit on a board of size {n}")
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
 
-    @classmethod
-    def from_top_dots(cls, n: int, top: Iterable[int], bottom: Iterable[int],
-                      dots: Iterable[tuple[int, int]]) -> "BoundaryConfig":
-        """Build from (row-from-top, column) dot positions."""
-        cols: list[list[int]] = [[] for _ in range(n)]
-        for i, j in dots:
-            cols[j - 1].append(2 * n + 1 - i)
-        return cls(n, normalize(top), normalize(bottom),
-                   tuple(tuple(sorted(c)) for c in cols))
+    @property
+    def cols(self) -> int:
+        return self.n
 
-    def top_dots(self) -> tuple[tuple[int, int], ...]:
-        """Dots as (row-from-top, column), row-major from the top."""
-        dots = [(2 * self.n + 1 - r, j) for r, j in self.dots_column_major()]
-        return tuple(sorted(dots))
+    @property
+    def rows(self) -> int:
+        return 2 * self.n
 
-    def dots_column_major(self) -> tuple[tuple[int, int], ...]:
-        """(row, column) pairs, columns left to right, lower dot first."""
-        return tuple((r, j) for j, col in enumerate(self.columns, start=1)
-                     for r in col)
+    # Every board Config validates against this mask: one per board.
+    @lru_cache(maxsize=None)
+    def windows(self) -> Windows:
+        """The (lo, hi) admissible rows (bottom-based) of every column, left
+        to right.  Both window ends are nondecreasing in j, as
+        ``grid.window_poly`` requires."""
+        n = self.n
+        return tuple((1 + sum(1 for b in self.bottom if b > n - j),
+                      2 * n - sum(1 for t in self.top if t >= j))
+                     for j in range(1, n + 1))
+
+    # every label lookup reads it, so it is worked out once per board
+    @cached_property
+    def num_values(self) -> int:
+        """Twice the height of the widest window (n + 1 on the empty board),
+        so that the affixes pad every board word to a permutation."""
+        return 2 * max((hi - lo + 1 for lo, hi in self.windows()),
+                       default=self.n + 1)
 
 
 def enumerate_boundary(n: int, top: Iterable[int] = (),
                        bottom: Iterable[int] | None = None,
-                       ) -> Iterator[BoundaryConfig]:
+                       ) -> Iterator[Config]:
     """All boards with the given boundaries, in lexicographic column order.
 
     ``bottom=None`` means the staircase (n-1, ..., 1).
     """
-    top = normalize(top)
-    bottom = staircase(n - 1) if bottom is None else normalize(bottom)
-    windows = board_windows(n, top, bottom)
-    return (BoundaryConfig(n, top, bottom, columns)
-            for columns, _ in fillings(windows, 1, 2))
+    return enumerate_configs(Board(n, top, bottom))
 
 
 def count_boundary(n: int, top: Iterable[int] = (),
@@ -226,7 +215,7 @@ def q_partition_function(n: int, top: Iterable[int] = (),
                          bottom: Iterable[int] | None = None) -> QPoly:
     """Sum of q^inversions over all boards, by the transfer over the
     board's mask (``grid.window_poly``); no board is listed."""
-    return window_poly(board_windows(n, top, bottom), 1, 2)
+    return window_poly(Board(n, top, bottom).windows(), 1, 2)
 
 
 def max_inv(n: int, top: Iterable[int] = ()) -> int:
@@ -273,9 +262,7 @@ def q_partition_function_dp(n: int, top: Iterable[int] = ()) -> QPoly:
     the transfer in ``q_partition_function`` and much faster on large
     boards (0.01 s against seconds for the staircase top at n = 12).
     """
-    top = normalize(top)
-    _check_boundaries(n, top, staircase(n - 1))
-    return _qpf_dp(n, top)
+    return _qpf_dp(n, Board(n, top).top)
 
 
 def genocchi_numbers(max_n: int) -> list[int]:
@@ -288,41 +275,15 @@ def genocchi_numbers(max_n: int) -> list[int]:
 # The boundary word and its statistic
 # ---------------------------------------------------------------------------
 
-def column_slack(n: int, top: Iterable[int] = (),
-                 bottom: Iterable[int] | None = None) -> int:
-    """Largest column admissibility count minus (n + 1); 0 on staircases
-    and on the empty board."""
-    windows = board_windows(n, top, bottom)
-    return max((hi - lo + 1 for lo, hi in windows), default=n + 1) - n - 1
-
-
-def sigma_word(c: BoundaryConfig) -> tuple[int, ...]:
-    """Label word of a board, padded by slack-many even and odd labels.
-
-    Lower rows r <= n carry the even labels 2(r + s + 1), upper rows the odd
-    labels 2(r - n) - 1, where s is the column slack; the prefix supplies the
-    smallest evens and the suffix the largest odds, making the whole word a
-    permutation of [2(n + s + 1)].
-    """
-    n = c.n
-    s = column_slack(n, c.top, c.bottom)
-    w1 = tuple(range(2, 2 * s + 3, 2))
-    w2 = tuple(range(2 * n + 1, 2 * n + 2 * s + 2, 2))
-    mid = tuple(2 * (r + s + 1) if r <= n else 2 * (r - n) - 1
-                for r, _ in c.dots_column_major())
-    return w1 + mid + w2
-
-
-def boundary_st(c: BoundaryConfig) -> int:
-    """The statistic ``words.st_from_pi`` of the inverse of the label word,
+def boundary_st(c: Config) -> int:
+    """The statistic ``words.st_from_pi`` of the board's lift ``phi(c)``,
     read with blocks of length 1."""
-    return st_from_pi(invert(sigma_word(c)), 1)
+    return st_from_pi(phi(c), 1)
 
 
-def boundary_st_check(c: BoundaryConfig) -> bool:
-    """st of the inverse label word equals C(L, 2) minus the inversions."""
-    half = len(sigma_word(c)) // 2
-    return boundary_st(c) == comb(half, 2) - grid.inversions(c)
+def boundary_st_check(c: Config) -> bool:
+    """st of the board's lift equals C(L/2, 2) minus the inversions."""
+    return boundary_st(c) == comb(c.params.word_len // 2, 2) - inversions(c)
 
 
 # ---------------------------------------------------------------------------

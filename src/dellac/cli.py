@@ -205,10 +205,9 @@ def _read_source(args, doc):
         if args.l is None:
             return None, fail_usage("--from xi1 needs --l (the row multiplicity undone)")
         try:
-            image = Config.from_json_dict(doc)
+            source = xi1_inverse(Config.from_json_dict(doc), args.l)
         except (ConfigError, ValueError, KeyError, TypeError) as exc:
             return None, fail_validation(f"xi1: {exc}")
-        source = xi1_inverse(image, args.l)
         if source is None:
             return None, fail_validation("xi1: document is not in the embedding image")
         return source, OK
@@ -232,7 +231,10 @@ def _write_target(args, c: Config, out) -> int:
         return OK
     if args.target == "dumont":
         sigma = varphi(c)
-        pi = recover_pi(sigma, params)
+        try:
+            pi = recover_pi(sigma, params)
+        except WordError as exc:
+            return fail_validation(f"dumont: {exc}")
         out.write(dumps({
             "sigma": list(sigma),
             "pi": list(pi),
@@ -337,6 +339,8 @@ def cmd_genocchi(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, out) -> int:
+    if args.max_n < 1:
+        return fail_usage("--max-n must be at least 1")
     items = _verify_items(args.suite, args.max_n, args.max_params)
     if not items:
         return fail_usage("no checks selected (is --max-params too small?)")

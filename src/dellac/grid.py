@@ -15,10 +15,17 @@ Window masks.  Grids and the boards of ``boundary`` are one object: a mask
 of one inclusive (lo, hi) row window per column, a row capacity l and a
 column size m.  A filling of the mask puts m dots in every column, inside
 its window, and l dots in every row.  ``Params.windows()`` builds the
-staircase mask of a grid and ``boundary.board_windows`` the mask of a board
-with trimmed corners (l = 1, m = 2).  ``check_columns`` validates one
-filling, and ``inversions`` counts the inversions of either kind of
-configuration with ``inv_word``, the package's one inversion counter.
+staircase mask of a grid and ``boundary.Board.windows()`` the mask of a
+board with trimmed corners (l = 1, m = 2).  Both are ``Shape``s, and a
+``Config`` is a filling of either: ``check_columns`` validates it, and
+``inversions`` counts its inversions with ``inv_word``, the package's one
+inversion counter.
+
+Labels.  One rule, ``labelling(rows, half)``, gives every shape its row
+labels and affix letters over [2 * half]: the even letters fill the prefix,
+then rows 1 .. rows // 2; the odd letters fill the other rows from the
+bottom, then the suffix.  A grid's half is ``num_values / 2`` (the one place
+where the parity of m*n matters), a board's the height of its widest window.
 
 Listing and counting.  ``fillings`` lists the fillings of any mask with
 their inversion counts; it serves only where a listing is the output
@@ -63,8 +70,76 @@ class WindowViolation(ConfigError):
     """A dot lies outside the staircase window of its column."""
 
 
+@lru_cache(maxsize=None)
+def labelling(rows: int, half: int) -> tuple[tuple[int, ...], tuple[int, ...],
+                                             tuple[int, ...]]:
+    """The label convention: (prefix letters, labels of rows 1 .. rows,
+    suffix letters), which together use each letter of [2 * half] once.
+
+    The even letters go in increasing order first to the prefix, then to
+    rows 1 .. rows // 2; the odd letters go to the remaining rows from the
+    bottom, then to the suffix.  Raises ValueError when the alphabet has too
+    few letters of either parity for the rows.
+    """
+    low = rows // 2  # the rows that take even letters
+    if rows - low > half:
+        raise ValueError(f"{2 * half} letters cannot label {rows} rows")
+    evens = range(2, 2 * half + 1, 2)
+    odds = range(1, 2 * half, 2)
+    cut = half - low
+    return (tuple(evens[:cut]), (*evens[cut:], *odds[:rows - low]),
+            tuple(odds[rows - low:]))
+
+
+class Shape:
+    """Row labels and the affixes that turn the label word of a filled mask
+    into a generalized permutation (``bijection.phi1``).
+
+    A subclass gives ``rows``, the row capacity ``l`` and the alphabet size
+    ``num_values``; ``labelling`` fixes the rest.  Every letter of
+    [1 .. num_values] occurs exactly l times in prefix * word * suffix.
+    """
+
+    def labelling(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        return labelling(self.rows, self.num_values // 2)
+
+    @property
+    def word_len(self) -> int:
+        """Length L of the full generalized permutation."""
+        return self.l * self.num_values
+
+    def rows_by_label(self) -> list[int]:
+        """Entry e is the row labelled e, or 0 when e is an affix letter."""
+        table = [0] * (self.num_values + 1)
+        for i, e in enumerate(self.labelling()[1], start=1):
+            table[e] = i
+        return table
+
+    def label_of_row(self, i: int) -> int:
+        """Label attached to every dot in row i."""
+        if not 1 <= i <= self.rows:
+            raise ValueError(f"row {i} out of range 1..{self.rows}")
+        return self.labelling()[1][i - 1]
+
+    def prefix_word(self) -> tuple[int, ...]:
+        """Fixed word w1 prepended to the configuration word."""
+        return tuple(v for v in self.labelling()[0] for _ in range(self.l))
+
+    def suffix_word(self) -> tuple[int, ...]:
+        """Fixed word w2 appended to the configuration word."""
+        return tuple(v for v in self.labelling()[2] for _ in range(self.l))
+
+    @property
+    def prefix_len(self) -> int:
+        return self.l * len(self.labelling()[0])
+
+    @property
+    def suffix_len(self) -> int:
+        return self.l * len(self.labelling()[2])
+
+
 @dataclass(frozen=True, order=True)
-class Params:
+class Params(Shape):
     """Size and type of a configuration grid: l dots per row, m per column,
     size parameter n."""
 
@@ -100,14 +175,6 @@ class Params:
         """The grid's window mask: ``window(j)`` for every column j."""
         return tuple(self.window(j) for j in range(1, self.cols + 1))
 
-    # ------------------------------------------------------------------
-    # Row labels and the affixes used to turn a configuration word into a
-    # generalized permutation.
-    #
-    # The label alphabet is [1 .. num_values]; every letter occurs exactly
-    # l times in prefix * word * suffix.
-    # ------------------------------------------------------------------
-
     @property
     def num_values(self) -> int:
         """Number of distinct letters in the label alphabet (= L / l)."""
@@ -115,70 +182,17 @@ class Params:
             return 2 * (self.n * (self.m - 1) + 1)
         return 2 * self.n * (self.m - 1)
 
-    @property
-    def word_len(self) -> int:
-        """Length L of the full generalized permutation."""
-        return self.l * self.num_values
-
-    def label_of_row(self, i: int) -> int:
-        """Label attached to every dot in row i.
-
-        Bottom rows get the large even labels, top rows the odd labels
-        1, 3, 5, ...; with m*n odd the even labels are shifted down by one.
-        """
-        mn = self.m * self.n
-        if not 1 <= i <= mn:
-            raise ValueError(f"row {i} out of range 1..{mn}")
-        half = mn // 2
-        if i > half:
-            return 2 * (i - half) - 1
-        if mn % 2 == 0:
-            return 2 * i + self.n * (self.m - 2) + 2
-        return 2 * i + self.n * (self.m - 2) + 1
-
-    def row_of_label(self, e: int) -> int:
-        mn = self.m * self.n
-        half = mn // 2
-        if e % 2 == 1:
-            i = half + (e + 1) // 2
-        elif mn % 2 == 0:
-            i = (e - 2 - self.n * (self.m - 2)) // 2
-        else:
-            i = (e - 1 - self.n * (self.m - 2)) // 2
-        if not 1 <= i <= mn or self.label_of_row(i) != e:
-            raise ValueError(f"{e} is not a row label for {self}")
-        return i
-
-    def prefix_word(self) -> tuple[int, ...]:
-        """Fixed word w1 prepended to the configuration word."""
-        mn = self.m * self.n
-        top = self.n * (self.m - 2) + 2 if mn % 2 == 0 else self.n * (self.m - 2) + 1
-        return tuple(v for v in range(2, top + 1, 2) for _ in range(self.l))
-
-    def suffix_word(self) -> tuple[int, ...]:
-        """Fixed word w2 appended to the configuration word."""
-        mn = self.m * self.n
-        start = mn + 1 if mn % 2 == 0 else mn + 2
-        return tuple(v for v in range(start, self.num_values, 2) for _ in range(self.l))
-
-    @property
-    def prefix_len(self) -> int:
-        return len(self.prefix_word())
-
-    @property
-    def suffix_len(self) -> int:
-        return len(self.suffix_word())
-
 
 @dataclass(frozen=True)
 class Config:
     """A dot configuration, stored as one row tuple per column.
 
     ``columns[j-1]`` lists the rows of the m dots in column j, strictly
-    increasing (bottom to top).
+    increasing (bottom to top).  ``params`` is the labelled mask it fills: a
+    grid's ``Params`` or a ``boundary.Board``.
     """
 
-    params: Params
+    params: Shape
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
@@ -336,8 +350,8 @@ def inv_highest(params: Params) -> int:
 
 def word_of(c: Config) -> tuple[int, ...]:
     """Row labels of the dots read in column-major order."""
-    p = c.params
-    return tuple(p.label_of_row(i) for i, _ in c.dots_column_major())
+    labels = c.params.labelling()[1]
+    return tuple(labels[i - 1] for col in c.columns for i in col)
 
 
 def tau_of(c: Config) -> tuple[int, ...]:
@@ -571,7 +585,7 @@ def fillings(windows: Windows, l: int, m: int) -> Iterator[tuple[Columns, int]]:
         yield (), 0
 
 
-def enumerate_configs(params: Params) -> Iterator[Config]:
+def enumerate_configs(params: Shape) -> Iterator[Config]:
     """Yield every configuration, lexicographically by column row-tuples."""
     for columns, _ in fillings(params.windows(), params.l, params.m):
         yield Config(params, columns)

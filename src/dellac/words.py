@@ -8,7 +8,8 @@ A normalized Dumont permutation sigma (relative to grid parameters) pins a
 batch of small values on the odd blocks and a batch of large values on the
 trailing even blocks, and requires a unique lift pi with dStd(pi) = sigma
 whose position blocks increase and whose column words (read through pi^{-1})
-all satisfy the parity property.
+all satisfy the parity property.  The pinned blocks are those of the affix
+letters of ``grid.labelling``, which never move.
 
 One backtracking search, ``lifts``, finds such lifts.  It places the value
 classes in order, deals each class over the blocks in ascending parts, and
@@ -139,19 +140,16 @@ def parity_property(word, l: int, m: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def pinned_blocks(params: Params) -> dict[int, int]:
-    """Zero-based block index -> pinned value, per the normalization rules."""
-    n, m = params.n, params.m
-    half = params.num_values  # L / l
-    pins: dict[int, int] = {}
-    for p in range(1, n * (m - 2) + 2, 2):
-        pins[p] = (p + 1) // 2
-    if (m * n) % 2 == 0:
-        lo = half - n * (m - 2) - 2
-    else:
-        lo = half - n * (m - 2) + 1
-    start = lo if lo % 2 == 0 else lo + 1
-    for p in range(max(start, 0), half - 1, 2):
-        pins[p] = (half + p) // 2 + 1
+    """Zero-based block index -> pinned value, per the normalization rules.
+
+    An affix letter v of ``bijection.phi1`` never moves, and its l copies
+    fill one block of phi1, so block v - 1 of every image is pinned to
+    ceil(pos / l), pos being any position of v in phi1.
+    """
+    prefix, _, suffix = params.labelling()
+    before = len(prefix) + params.rows  # blocks of phi1 before the suffix
+    pins = {v - 1: k for k, v in enumerate(prefix, start=1)}
+    pins.update((v - 1, before + k) for k, v in enumerate(suffix, start=1))
     return pins
 
 
@@ -179,15 +177,14 @@ def _column_tests(params: Params) -> tuple[tuple, tuple[int, ...]]:
     position's block names (0, outside every window, for a pinned block)."""
     l, m, r = params.l, params.m, params.prefix_len
     half = params.num_values
-    pins = pinned_blocks(params)
     # column p reads the values r + pm + 1 .. r + (p+1)m, so it is
     # complete once the class of its top value is placed
     ready: list[list] = [[] for _ in range(half + 1)]
     for p in range(params.cols):
         ready[(r + (p + 1) * m + l - 1) // l].append(
             (range(r + p * m + 1, r + (p + 1) * m + 1), *params.window(p + 1)))
-    row_at = (0,) + tuple(0 if s // l in pins else params.row_of_label(s // l + 1)
-                          for s in range(params.word_len))
+    rows_by_label = params.rows_by_label()
+    row_at = (0,) + tuple(rows_by_label[s // l + 1] for s in range(params.word_len))
     return tuple(map(tuple, ready)), row_at
 
 

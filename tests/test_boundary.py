@@ -6,8 +6,10 @@ from math import comb, prod
 
 import pytest
 
+from dellac.bijection import phi1, varphi
 from dellac.grid import (
     ColumnCountViolation,
+    Config,
     Params,
     RowCountViolation,
     WindowViolation,
@@ -17,13 +19,11 @@ from dellac.grid import (
     window_poly,
 )
 from dellac.boundary import (
-    BoundaryConfig,
+    Board,
     HypothesisViolated,
     PartitionOutOfStaircase,
-    board_windows,
     boundary_st,
     boundary_st_check,
-    column_slack,
     count_boundary,
     enumerate_boundary,
     genocchi_numbers,
@@ -35,13 +35,22 @@ from dellac.boundary import (
     q_partition_function,
     q_partition_function_dp,
     recurrence_suite,
-    sigma_word,
     staircase,
     staircase_gap,
     verify_expansion_instance,
     verify_recurrence,
 )
 from dellac.qpoly import QPoly, q_binomial, q_int
+from dellac.words import st_statistic
+
+
+def from_top_dots(board, dots):
+    """The board filled with (row-from-top, column) dots, the way the
+    paper's figures give them."""
+    cols = [[] for _ in range(board.n)]
+    for i, j in dots:
+        cols[j - 1].append(2 * board.n + 1 - i)
+    return Config(board, tuple(tuple(sorted(c)) for c in cols))
 
 
 def tally(pairs):
@@ -98,14 +107,15 @@ def test_partitions_in_staircase_counts():
 # ---------------------------------------------------------------------------
 
 def test_board_masks_are_built_once_per_boundary():
-    assert board_windows(3, (2, 0), [2, 1]) is board_windows(3, (2,), (2, 1))
-    assert board_windows(3) is board_windows(3, (), (2, 1))
+    assert Board(3, (2, 0), [2, 1]) == Board(3, (2,), (2, 1))
+    assert Board(3, (2, 0), [2, 1]).windows() is Board(3, (2,), (2, 1)).windows()
+    assert Board(3).windows() is Board(3, (), (2, 1)).windows()
 
 
 def test_board_windows_of_the_running_example():
     # the top part 2 cuts row 6 from columns 1 and 2; the bottom parts 2
     # and 1 cut row 1 from columns 2 and 3 and row 2 from column 3
-    assert board_windows(3, (2,), (2, 1)) == ((1, 5), (2, 5), (3, 6))
+    assert Board(3, (2,), (2, 1)).windows() == ((1, 5), (2, 5), (3, 6))
 
 
 def test_example_counts():
@@ -120,29 +130,28 @@ def test_figures_round_trip_through_top_based_dots():
     fig2 = ((1, 3), (2, 1), (3, 3), (4, 2), (5, 2), (6, 1))
     for dots, cols, inv in [(fig1, ((1, 5), (2, 4), (3, 6)), 4),
                             (fig2, ((1, 5), (2, 3), (4, 6)), 3)]:
-        c = BoundaryConfig.from_top_dots(3, (2,), (2, 1), dots)
+        c = from_top_dots(Board(3, (2,), (2, 1)), dots)
         assert c.columns == cols
-        assert c.top_dots() == dots
         assert inversions(c) == inv
 
 
 def test_board_validation_rejects_bad_dots():
     with pytest.raises(ValueError):
-        BoundaryConfig(2, (), (1,), ((1, 2), (1, 3)))   # row 1 twice
+        Config(Board(2, (), (1,)), ((1, 2), (1, 3)))   # row 1 twice
     with pytest.raises(ValueError):
-        BoundaryConfig(2, (), (1,), ((2, 1), (3, 4)))   # not increasing
+        Config(Board(2, (), (1,)), ((2, 1), (3, 4)))   # not increasing
     with pytest.raises(ValueError):
         # row 4 is cut in column 1 by the top part 1
-        BoundaryConfig(2, (1,), (1,), ((3, 4), (1, 2)))
+        Config(Board(2, (1,), (1,)), ((3, 4), (1, 2)))
 
 
 def test_board_validation_raises_config_errors():
     with pytest.raises(RowCountViolation):
-        BoundaryConfig(2, (), (), ((1, 2), (1, 3)))      # row 1 twice
+        Config(Board(2, (), ()), ((1, 2), (1, 3)))      # row 1 twice
     with pytest.raises(ColumnCountViolation):
-        BoundaryConfig(2, (), (), ((2, 1), (3, 4)))      # not increasing
+        Config(Board(2, (), ()), ((2, 1), (3, 4)))      # not increasing
     with pytest.raises(WindowViolation):
-        BoundaryConfig(2, (1,), (1,), ((3, 4), (1, 2)))  # row 4 cut in column 1
+        Config(Board(2, (1,), (1,)), ((3, 4), (1, 2)))  # row 4 cut in column 1
 
 
 def test_boundaries_that_do_not_fit_raise():
@@ -164,7 +173,7 @@ def test_staircase_boundaries_match_the_square_grid_family():
         assert boards == grids
         inv_by_columns = {g.columns: inversions(g)
                           for g in enumerate_configs(Params(1, 2, n))}
-        for columns, inv in fillings(board_windows(n, delta), 1, 2):
+        for columns, inv in fillings(Board(n, delta).windows(), 1, 2):
             assert inv == inv_by_columns[columns]
 
 
@@ -224,7 +233,7 @@ def test_board_masks_match_brute_force_on_every_boundary_up_to_four():
         for top in fitting_partitions(n, 2 * n):
             for bottom in fitting_partitions(n, max(n - 1, 0)):
                 want = brute_force_boards(n, top, bottom)
-                mask = board_windows(n, top, bottom)
+                mask = Board(n, top, bottom).windows()
                 assert list(fillings(mask, 1, 2)) == want, (n, top, bottom)
                 assert window_poly(mask, 1, 2) == tally(want), (n, top, bottom)
                 pairs += 1
@@ -289,7 +298,7 @@ def test_genocchi_recurrence_from_the_gap_family():
 
 def listed_poly(n, lam):
     """The staircase-bottom polynomial tallied from the listed boards."""
-    return tally(fillings(board_windows(n, lam), 1, 2))
+    return tally(fillings(Board(n, lam).windows(), 1, 2))
 
 
 def test_dp_agrees_with_enumeration_up_to_five():
@@ -361,17 +370,19 @@ def test_max_inv_counterexamples_stay_on_record():
 # The boundary word and its statistic
 # ---------------------------------------------------------------------------
 
-def test_column_slack():
-    assert column_slack(3, (2,), (2, 1)) == 1
-    assert column_slack(3, (2, 1)) == 0       # both boundaries staircases
-    assert column_slack(3) == 2               # an empty top frees two rows
-    assert column_slack(0) == 0               # the empty board has no column
+def test_board_alphabet_follows_the_widest_window():
+    # twice the height of the widest window: n + 1 plus the column slack
+    assert Board(3, (2,), (2, 1)).num_values == 10   # slack 1
+    assert Board(3, (2, 1)).num_values == 8          # both boundaries staircases
+    assert Board(3).num_values == 12                 # an empty top frees two rows
+    assert Board(0).num_values == 2                  # the empty board has no column
+    assert Board(3, (2,), (2, 1)).labelling() == ((2, 4), (6, 8, 10, 1, 3, 5), (7, 9))
 
 
 def test_sigma_word_of_the_first_figure():
-    c = BoundaryConfig.from_top_dots(
-        3, (2,), (2, 1), ((1, 3), (2, 1), (3, 2), (4, 3), (5, 2), (6, 1)))
-    assert sigma_word(c) == (2, 4, 6, 3, 8, 1, 10, 5, 7, 9)
+    c = from_top_dots(Board(3, (2,), (2, 1)),
+                      ((1, 3), (2, 1), (3, 2), (4, 3), (5, 2), (6, 1)))
+    assert phi1(c) == (2, 4, 6, 3, 8, 1, 10, 5, 7, 9)
     assert boundary_st(c) == 6
     assert inversions(c) == 4           # st + inv = C(5, 2)
 
@@ -379,8 +390,23 @@ def test_sigma_word_of_the_first_figure():
 def test_sigma_word_is_a_permutation():
     for n, top, bottom in [(3, (2,), (2, 1)), (2, (), ()), (3, (1,), None)]:
         for c in enumerate_boundary(n, top, bottom):
-            word = sigma_word(c)
+            word = phi1(c)
             assert sorted(word) == list(range(1, len(word) + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_staircase_board_words_are_the_square_grid_words(n):
+    # the staircase board and the (1, 2, n) grid are one labelled shape, so
+    # they share the board word and st, the grid's st read off its
+    # normalized Dumont permutation
+    board, grid = Board(n, staircase(n - 1)), Params(1, 2, n)
+    boards = {c.columns: c for c in enumerate_configs(board)}
+    grids = list(enumerate_configs(grid))
+    assert sorted(boards) == [g.columns for g in grids]
+    for g in grids:
+        b = boards[g.columns]
+        assert phi1(b) == phi1(g)
+        assert boundary_st(b) == st_statistic(varphi(g), grid)
 
 
 def test_st_check_across_boundaries():
@@ -395,7 +421,7 @@ def test_st_check_across_boundaries():
 
 def test_st_of_the_single_tiny_board():
     (c,) = enumerate_boundary(1)
-    assert boundary_st(c) == comb(len(sigma_word(c)) // 2, 2)
+    assert boundary_st(c) == comb(len(phi1(c)) // 2, 2)
     assert inversions(c) == 0
 
 

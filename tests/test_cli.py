@@ -126,6 +126,18 @@ def test_convert_dumont_rejects_an_ambiguous_lift(capsys, monkeypatch):
     assert captured.err.startswith("invalid input: dumont: lift of ")
 
 
+def test_convert_config_to_dumont_rejects_an_ambiguous_lift(capsys, monkeypatch):
+    # a valid (3,2,2) configuration whose varphi word has two lifts
+    source = {"l": 3, "m": 2, "n": 2,
+              "columns": [[1, 2], [1, 2], [1, 3], [2, 4], [3, 4], [3, 4]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(source)))
+    code = main(["convert", "--from", "config", "--to", "dumont"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: dumont: lift of ")
+
+
 def test_convert_dumont_needs_params(capsys, monkeypatch):
     code, _ = run_stdin(capsys, monkeypatch, '{"sigma": [3, 1, 4, 2]}',
                         "convert", "--from", "dumont", "--to", "config")
@@ -160,6 +172,21 @@ def test_convert_embedding_round_trips(capsys, monkeypatch):
                            "convert", "--from", "xi2", "--to", "config")
     assert code == 0
     assert json.loads(back) == source
+
+
+@pytest.mark.parametrize("doc, l", [
+    ({"l": 1, "m": 3, "n": 2, "columns": [[1, 2, 4], [3, 5, 6]]}, "0"),
+    ({"l": 1, "m": 3, "n": 2, "columns": [[1, 2, 4], [3, 5, 6]]}, "3"),
+    (EXAMPLE_232, "1"),
+])
+def test_convert_from_xi1_rejects_a_bad_row_group(capsys, monkeypatch, doc, l):
+    # --l 0, an --l that does not divide n, and an image with l != 1
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(["convert", "--from", "xi1", "--to", "config", "--l", l])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: xi1: ")
 
 
 def test_convert_to_dyck(capsys, monkeypatch):
@@ -271,6 +298,13 @@ def test_verify_all_trivial(capsys):
                     "--max-params", "4")
     assert code == 0
     assert json_lines(out)[-1]["failed"] == 0
+
+
+@pytest.mark.parametrize("suite", ["all", "genocchi", "bijection"])
+def test_verify_rejects_a_max_n_below_one(capsys, suite):
+    code, out = run(capsys, "verify", suite, "--max-n", "0")
+    assert code == 2
+    assert out == ""
 
 
 def test_genocchi_prefix_matches_the_dp():

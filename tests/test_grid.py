@@ -26,6 +26,7 @@ from dellac.grid import (
     inv_highest,
     inv_lowest,
     inversions,
+    labelling,
     lowest,
     replay_switches,
     switch_decomposition,
@@ -41,6 +42,11 @@ SMALL_PARAMS = [
     (1, 3, 1), (1, 3, 2), (2, 3, 1), (2, 3, 2),
     (1, 4, 1), (1, 4, 2), (2, 4, 1),
 ]
+
+# Every parameter set with l*m*n <= 64 (516 of them): the label rule is
+# cheap to check everywhere.
+LABEL_PARAMS = [(l, m, n) for l in range(1, 33) for m in range(2, 64 // l + 1)
+                for n in range(1, 64 // (l * m) + 1)]
 
 # The worked 6x4 example used across several modules.
 EXAMPLE_232 = Config(Params(2, 3, 2), ((1, 2, 5), (1, 4, 5), (3, 4, 6), (2, 3, 6)))
@@ -91,14 +97,21 @@ def test_labels_odd():
         [6, 8, 10, 12, 1, 3, 5, 7, 9]
 
 
-@pytest.mark.parametrize("lmn", SMALL_PARAMS)
+@pytest.mark.parametrize("lmn", LABEL_PARAMS)
 def test_label_bijection(lmn):
     p = Params(*lmn)
     labels = [p.label_of_row(i) for i in range(1, p.rows + 1)]
     assert len(set(labels)) == p.rows
+    rows_by_label = p.rows_by_label()
+    assert len(rows_by_label) == p.num_values + 1
     for i, e in enumerate(labels, start=1):
         assert 1 <= e <= p.num_values
-        assert p.row_of_label(e) == i
+        assert rows_by_label[e] == i
+    for e in (0, *p.prefix_word(), *p.suffix_word()):
+        assert rows_by_label[e] == 0
+    for i in (0, p.rows + 1):
+        with pytest.raises(ValueError):
+            p.label_of_row(i)
 
 
 def test_affix_words():
@@ -112,7 +125,14 @@ def test_affix_words():
     assert q.num_values == 4 and q.word_len == 4
 
 
-@pytest.mark.parametrize("lmn", SMALL_PARAMS)
+def test_labelling_needs_letters_of_both_parities_for_the_rows():
+    assert labelling(3, 2) == ((2,), (4, 1, 3), ())   # Params(1, 3, 1)
+    assert labelling(0, 1) == ((2,), (), (1,))
+    with pytest.raises(ValueError):
+        labelling(6, 2)
+
+
+@pytest.mark.parametrize("lmn", LABEL_PARAMS)
 def test_affixes_complete_the_alphabet(lmn):
     p = Params(*lmn)
     assert p.prefix_len + p.dots + p.suffix_len == p.word_len
