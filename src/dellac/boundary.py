@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bijection import phi
 from .grid import Config, Shape, Windows, enumerate_configs, inversions, window_poly
-from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int
+from .qpoly import ONE, ZERO, QPoly, q_binomial, q_int, shifted_sum
 from .words import st_from_pi
 
 Partition = tuple[int, ...]
@@ -121,8 +121,10 @@ def partitions_in_staircase(k: int) -> Iterator[Partition]:
 
 def _drop(parts: Sequence[int], *positions: int) -> Partition:
     """Remove the given one-based positions and renormalize."""
-    return normalize(v for k, v in enumerate(parts, start=1)
-                     if k not in positions)
+    out = list(parts)
+    for k in sorted(positions, reverse=True):
+        del out[k - 1]
+    return normalize(out)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +243,8 @@ def _expand_top_row(n: int, lam: Partition,
     padded = lam + (0,) * (n + 1 - len(lam))
     pairs = (((1, j) for j in range(2, n + 2)) if lam and lam[0] == n - 1
              else combinations(range(1, n + 2), 2))
-    total = ZERO
-    for i, j in pairs:
-        total = total + f(n - 1, _drop(padded, i, j)).shifted(i + j - 3)
-    return total
+    return shifted_sum((f(n - 1, _drop(padded, i, j)), i + j - 3)
+                       for i, j in pairs)
 
 
 @lru_cache(maxsize=None)
@@ -259,8 +259,10 @@ def _qpf_dp(n: int, lam: Partition) -> QPoly:
 def q_partition_function_dp(n: int, top: Iterable[int] = ()) -> QPoly:
     """Enumeration-free evaluation for staircase-bottom boards, by
     ``_expand_top_row``, for every top that fits.  It is independent of
-    the transfer in ``q_partition_function`` and much faster on large
-    boards (0.01 s against seconds for the staircase top at n = 12).
+    the transfer in ``q_partition_function``.  From empty memo tables at
+    n = 12 the two take about the same time on the staircase top (0.04 s
+    each), while on the empty top the DP takes under 0.01 s and the
+    transfer about 2 s (Python 3.11, one core).
     """
     return _qpf_dp(n, Board(n, top).top)
 
@@ -409,20 +411,21 @@ def _check_six_term(n: int, lam: Partition, nu: Partition,
     def f(top: Partition) -> QPoly:
         return q_partition_function(n - 2, top)
 
-    lhs = ZERO
-    for i, j in combinations(range(1, la + 1), 2):
-        lhs = lhs + f(oplus(_drop(lam, i, j), nu)).shifted(i + j - 3)
-    for i in range(1, la + 1):
-        for j in range(1, ln_ + 1):
-            lhs = lhs + f(oplus(_drop(lam, i), _drop(nu, j))).shifted(i + j + la - 3)
-    for i in range(1, la + 1):
-        lhs = lhs + (q_int(c1) * f(oplus(_drop(lam, i), nu))).shifted(i + la + ln_ - 2)
-    for i in range(1, ln_ + 1):
-        lhs = lhs + (q_int(c1) * f(oplus(lam, _drop(nu, i)))).shifted(i + 2 * la + ln_ - 2)
-    for i, j in combinations(range(1, ln_ + 1), 2):
-        lhs = lhs + f(oplus(lam, _drop(nu, i, j))).shifted(i + j + 2 * la - 3)
-    lhs = lhs + (q_binomial(c1, 2) * f(oplus(lam, nu))).shifted(2 * (la + ln_))
+    def terms() -> Iterator[tuple[QPoly, int]]:
+        for i, j in combinations(range(1, la + 1), 2):
+            yield f(oplus(_drop(lam, i, j), nu)), i + j - 3
+        for i in range(1, la + 1):
+            for j in range(1, ln_ + 1):
+                yield f(oplus(_drop(lam, i), _drop(nu, j))), i + j + la - 3
+        for i in range(1, la + 1):
+            yield q_int(c1) * f(oplus(_drop(lam, i), nu)), i + la + ln_ - 2
+        for i in range(1, ln_ + 1):
+            yield q_int(c1) * f(oplus(lam, _drop(nu, i))), i + 2 * la + ln_ - 2
+        for i, j in combinations(range(1, ln_ + 1), 2):
+            yield f(oplus(lam, _drop(nu, i, j))), i + j + 2 * la - 3
+        yield q_binomial(c1, 2) * f(oplus(lam, nu)), 2 * (la + ln_)
 
+    lhs = shifted_sum(terms())
     rhs = (q_partition_function(n - 1, oplus(lam, nu))
            - q_partition_function(n - 1, oplus((n - 2,), lam, nu)).shifted(n - 2))
     return lhs, rhs

@@ -161,11 +161,19 @@ def _need_params(args):
     return Params(args.l, args.m, args.n)
 
 
+def _grid_config(doc) -> Config:
+    """The grid configuration a document holds; boards are not converted."""
+    c = Config.from_json_dict(doc)
+    if not isinstance(c.params, Params):
+        raise ValueError("a board document is not a grid configuration")
+    return c
+
+
 def _read_source(args, doc):
     """Turn the parsed input document into a Config, or (None, exit code)."""
     if args.source == "config":
         try:
-            return Config.from_json_dict(doc), OK
+            return _grid_config(doc), OK
         except (ConfigError, ValueError, KeyError, TypeError) as exc:
             return None, fail_validation(f"config: {exc}")
     if args.source == "dumont":
@@ -205,7 +213,7 @@ def _read_source(args, doc):
         if args.l is None:
             return None, fail_usage("--from xi1 needs --l (the row multiplicity undone)")
         try:
-            source = xi1_inverse(Config.from_json_dict(doc), args.l)
+            source = xi1_inverse(_grid_config(doc), args.l)
         except (ConfigError, ValueError, KeyError, TypeError) as exc:
             return None, fail_validation(f"xi1: {exc}")
         if source is None:
@@ -213,7 +221,7 @@ def _read_source(args, doc):
         return source, OK
     if args.source == "xi2":
         try:
-            image = Config.from_json_dict(doc["config"])
+            image = _grid_config(doc["config"])
             va = [tuple(int(x) for x in triple) for triple in doc["va"]]
         except (ConfigError, ValueError, KeyError, TypeError) as exc:
             return None, fail_validation(f"xi2: {exc}")

@@ -216,13 +216,22 @@ class Config:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The columns and their shape: l, m and n for a grid, n, top and
+        bottom for a board."""
         p = self.params
-        return {"l": p.l, "m": p.m, "n": p.n,
-                "columns": [list(c) for c in self.columns]}
+        shape = ({"l": p.l, "m": p.m, "n": p.n} if isinstance(p, Params)
+                 else {"n": p.n, "top": list(p.top), "bottom": list(p.bottom)})
+        return {**shape, "columns": [list(c) for c in self.columns]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Config":
-        p = Params(int(d["l"]), int(d["m"]), int(d["n"]))
+        """Inverse of ``to_json_dict``: a document with ``top`` is a board."""
+        if "top" in d:
+            from .boundary import Board  # boundary imports this module
+            p: Shape = Board(int(d["n"]), tuple(int(t) for t in d["top"]),
+                             tuple(int(b) for b in d["bottom"]))
+        else:
+            p = Params(int(d["l"]), int(d["m"]), int(d["n"]))
         return cls(p, tuple(tuple(int(i) for i in c) for c in d["columns"]))
 
 

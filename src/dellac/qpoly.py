@@ -114,6 +114,21 @@ ZERO = QPoly()
 ONE = QPoly((1,))
 
 
+def shifted_sum(terms: Iterable[tuple[QPoly, int]]) -> QPoly:
+    """Sum of p * q**k over the (p, k) pairs: the coefficients are added
+    into one list at their offsets and one QPoly is built at the end."""
+    out: list[int] = []
+    for p, k in terms:
+        if k < 0:
+            raise ValueError("negative powers are not supported")
+        end = k + len(p.coeffs)
+        if len(out) < end:
+            out.extend([0] * (end - len(out)))
+        for i, c in enumerate(p.coeffs, k):
+            out[i] += c
+    return QPoly(out)
+
+
 def q_int(n: int) -> QPoly:
     """[n]_q = 1 + q + ... + q^(n-1)."""
     if n < 0:

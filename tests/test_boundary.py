@@ -1,5 +1,6 @@
 """Tests for boards with trimmed corners and their q-counting."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
@@ -133,6 +134,21 @@ def test_figures_round_trip_through_top_based_dots():
         c = from_top_dots(Board(3, (2,), (2, 1)), dots)
         assert c.columns == cols
         assert inversions(c) == inv
+
+
+def test_boards_round_trip_through_json():
+    boards = list(enumerate_boundary(3, (2,), (2, 1)))
+    assert len(boards) == 9
+    for c in boards:
+        doc = c.to_json_dict()
+        assert doc["n"] == 3 and doc["top"] == [2] and doc["bottom"] == [2, 1]
+        assert "l" not in doc and "m" not in doc
+        back = Config.from_json_dict(json.loads(json.dumps(doc)))
+        assert back == c and back.params.num_values == 10
+    # the default bottom is written out as the staircase it stands for
+    c = next(enumerate_boundary(3, (1,)))
+    assert c.to_json_dict()["bottom"] == [2, 1]
+    assert Config.from_json_dict(c.to_json_dict()) == c
 
 
 def test_board_validation_rejects_bad_dots():
@@ -329,6 +345,17 @@ def test_transfer_agrees_with_the_dp_up_to_eight():
     for n in range(1, 9):
         for lam in partitions_in_staircase(n - 1):
             assert q_partition_function(n, lam) == q_partition_function_dp(n, lam), (n, lam)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_transfer_agrees_with_the_dp_from_nine_to_twelve(n):
+    # the staircase top, and one top through each branch of the expansion:
+    # first part n - 1 (pinned row) and first part n - 2 (free row)
+    for top in (staircase(n - 1), staircase_gap(n - 1, n // 2),
+                staircase(n - 2) + (1,)):
+        assert q_partition_function(n, top) == q_partition_function_dp(n, top), top
+    if n == 9:  # the median Genocchi number (OEIS A000366)
+        assert q_partition_function_dp(9, staircase(8)).at_one() == 15_366_679
 
 
 def test_empty_top_closed_form():

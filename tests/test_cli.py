@@ -214,6 +214,20 @@ def test_convert_invalid_config(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("source, to", [
+    ("config", "config"), ("config", "dumont"), ("config", "dyck"), ("xi1", "config")])
+def test_convert_rejects_a_board_document(capsys, monkeypatch, source, to):
+    board = {"n": 3, "top": [2], "bottom": [2, 1],
+             "columns": [[1, 2], [3, 4], [5, 6]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(board)))
+    code = main(["convert", "--from", source, "--to", to, "--l", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"invalid input: {source}: "
+                            "a board document is not a grid configuration\n")
+
+
 def test_poincare(capsys):
     code, out = run(capsys, "poincare", "--n", "3", "--top", "2,1",
                     "--at-q1")

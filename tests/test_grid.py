@@ -156,7 +156,8 @@ def test_validation_errors():
 
 def test_json_roundtrip():
     d = EXAMPLE_232.to_json_dict()
-    assert d["l"] == 2 and d["columns"][0] == [1, 2, 5]
+    assert d == {"l": 2, "m": 3, "n": 2,
+                 "columns": [[1, 2, 5], [1, 4, 5], [3, 4, 6], [2, 3, 6]]}
     assert Config.from_json_dict(d) == EXAMPLE_232
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dellac.qpoly import ONE, ZERO, QPoly, q_binomial, q_int
+from dellac.qpoly import ONE, ZERO, QPoly, q_binomial, q_int, shifted_sum
 
 
 def test_trailing_zeros_are_stripped():
@@ -51,6 +51,30 @@ def test_shifted():
         QPoly((1,)).shifted(-1)
     with pytest.raises(ValueError):
         QPoly.monomial(-2)
+
+
+def test_shifted_sum_edge_cases():
+    assert shifted_sum([]) == ZERO
+    assert shifted_sum([(ZERO, 4), (ZERO, 0)]) == ZERO
+    assert shifted_sum([(QPoly((1, 2)), 0)]).coeffs == (1, 2)
+    # the high coefficients cancel, and the result is trimmed
+    assert shifted_sum([(QPoly((1, 2, 3)), 1), (QPoly((0, -3)), 2)]).coeffs == (0, 1, 2)
+    assert shifted_sum([(QPoly((0, 5)), 1), (QPoly((-5,)), 2)]) == ZERO
+    with pytest.raises(ValueError):
+        shifted_sum([(ONE, -1)])
+
+
+polys = st.lists(st.integers(-4, 4), max_size=5).map(QPoly)
+
+
+@given(st.lists(st.tuples(polys, st.integers(0, 6)), max_size=8))
+def test_shifted_sum_is_the_fold_of_shifts(terms):
+    folded = ZERO
+    for p, k in terms:
+        folded = folded + p.shifted(k)
+    total = shifted_sum(terms)
+    assert total == folded
+    assert total.coeffs == folded.coeffs and total.coeffs[-1:] != (0,)
 
 
 def test_str_rendering():
