@@ -120,11 +120,14 @@ def partitions_in_staircase(k: int) -> Iterator[Partition]:
 
 
 def _drop(parts: Sequence[int], *positions: int) -> Partition:
-    """Remove the given one-based positions and renormalize."""
+    """Remove the given one-based positions and the zero parts, which come
+    last.  What is left of a partition is a partition: nothing is checked."""
     out = list(parts)
     for k in sorted(positions, reverse=True):
         del out[k - 1]
-    return normalize(out)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

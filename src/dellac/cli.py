@@ -196,7 +196,10 @@ def _read_source(args, doc):
         problems = validate_i(entries, params)
         if problems:
             return None, fail_validation("tuples-i: " + "; ".join(problems))
-        return i_to_config(entries, params), OK
+        try:
+            return i_to_config(entries, params), OK
+        except ValueError as exc:  # validate_i accepts a few non-images
+            return None, fail_validation(f"tuples-i: {exc}")
     if args.source == "tuples-k":
         params = _need_params(args)
         if params is None:

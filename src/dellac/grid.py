@@ -27,16 +27,16 @@ then rows 1 .. rows // 2; the odd letters fill the other rows from the
 bottom, then the suffix.  A grid's half is ``num_values / 2`` (the one place
 where the parity of m*n matters), a board's the height of its widest window.
 
-Listing and counting.  ``fillings`` lists the fillings of any mask with
-their inversion counts; it serves only where a listing is the output
-(``enumerate_configs``, ``boundary.enumerate_boundary``).  Every count and
-q-count goes through ``window_poly``, the transfer-matrix method (Stanley,
-EC1 4.7): it scans the columns once, keeping per state the capacity left in
-each row of the current window, and returns the sum of q^inv over all
-fillings without listing them.  Its domain is the monotone masks, whose
-window ends never fall from one column to the next; grid and board masks
-all are, and any other mask raises ValueError.  ``count_configs`` is its
-value at q = 1.
+Listing and counting.  ``fillings`` lists the fillings of any mask, for
+``inversions`` to count one by one; it serves only where a listing is the
+output (``enumerate_configs``, ``boundary.enumerate_boundary``).  Every
+count and q-count goes through ``window_poly``, the transfer-matrix method
+(Stanley, EC1 4.7): it scans the columns once, keeping per state the
+capacity left in each row of the current window, and returns the sum of
+q^inv over all fillings without listing them.  Its domain is the monotone
+masks, whose window ends never fall from one column to the next; grid and
+board masks all are, and any other mask raises ValueError.
+``count_configs`` is its value at q = 1.
 """
 
 from __future__ import annotations
@@ -532,14 +532,14 @@ def replay_switches(params: Params, steps: Sequence[SwitchStep]) -> Config:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def fillings(windows: Windows, l: int, m: int) -> Iterator[tuple[Columns, int]]:
-    """Yield (columns, inversion count) for every filling of a window mask,
+def fillings(windows: Windows, l: int, m: int) -> Iterator[Columns]:
+    """Yield the columns of every filling of a window mask,
     lexicographically by column row-tuples.
 
     The mask has len(windows) columns and len(windows) * m / l rows.  A row
     that no window covers can hold no dot, so such a mask has no filling.
-    Inversions are tracked incrementally, and a branch is cut as soon as a
-    row passes its last window without holding l dots.
+    A branch is cut as soon as a row passes its last window without holding
+    l dots.
     """
     cols = len(windows)
     rows = cols * m // l
@@ -555,7 +555,7 @@ def fillings(windows: Windows, l: int, m: int) -> Iterator[tuple[Columns, int]]:
     cap = [l] * (rows + 1)  # dots row i still needs
     chosen: list[tuple[int, ...]] = []
 
-    def rec(j: int, inv: int) -> Iterator[tuple[Columns, int]]:
+    def rec(j: int) -> Iterator[Columns]:
         # rows whose last window this is must take their last dot here
         forced = []
         for i in closing[j]:
@@ -566,37 +566,29 @@ def fillings(windows: Windows, l: int, m: int) -> Iterator[tuple[Columns, int]]:
         if len(forced) > m:
             return
         lo, hi = windows[j - 1]
-        # dots of earlier columns strictly above each row of the window
-        above = [0] * (hi + 1)
-        acc = l * (rows - hi) - sum(cap[hi + 1:])
-        for i in range(hi, lo - 1, -1):
-            above[i] = acc
-            acc += l - cap[i]
         free = [i for i in range(lo, hi + 1) if cap[i] and last[i] > j]
-        base = inv + sum(above[i] for i in forced)
         for rest in combinations(free, m - len(forced)):
             pick = tuple(sorted([*rest, *forced])) if forced else rest
-            added = base + sum(map(above.__getitem__, rest))
             chosen.append(pick)
             if j == cols:
-                yield tuple(chosen), added
+                yield tuple(chosen)
             else:
                 for i in pick:
                     cap[i] -= 1
-                yield from rec(j + 1, added)
+                yield from rec(j + 1)
                 for i in pick:
                     cap[i] += 1
             chosen.pop()
 
     if cols:
-        yield from rec(1, 0)
+        yield from rec(1)
     else:
-        yield (), 0
+        yield ()
 
 
 def enumerate_configs(params: Shape) -> Iterator[Config]:
     """Yield every configuration, lexicographically by column row-tuples."""
-    for columns, _ in fillings(params.windows(), params.l, params.m):
+    for columns in fillings(params.windows(), params.l, params.m):
         yield Config(params, columns)
 
 

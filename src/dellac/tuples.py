@@ -8,6 +8,12 @@ plus per-row dot counters J.  The K-model does the same without repeated
 elements for the spread-out single-dot-per-row form, so it lives in
 [1, l(m-1)n] and is reached through the row-spreading embedding.  In both
 models the last column is forced, which is why it is not recorded.
+
+Each model's defining conditions are stated once, as step rules that yield
+the messages of the conditions a step breaks: ``_i_step`` for the I-model,
+``_k_step`` and ``_k_last`` (the last set) for the K-model.  The validators
+collect their messages, and the enumerators build candidate next entries
+and keep the ones that the step rules accept.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .grid import Config, Params
 IPair = tuple[tuple[int, ...], tuple[int, ...]]
 ICollection = tuple[IPair, ...]
 KCollection = tuple[tuple[int, ...], ...]
+CountedPair = tuple[Counter, tuple[int, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +132,83 @@ def i_to_config(entries: Sequence[IPair], params: Params) -> Config:
     return Config(params, tuple(columns))
 
 
+def _i_step(prev: CountedPair, cur: CountedPair, i: int,
+            params: Params) -> Iterator[str]:
+    """Messages for the conditions (1), (2) and (4)-(9) that the step from
+    pair i - 1 to pair i breaks, each pair a (label Counter, counters)."""
+    l, m, n = params.l, params.m, params.n
+    wrap = (m - 1) * n
+    p, q = divmod(i - 1, l)
+    q += 1
+    old, prev_j = prev
+    new, cur_j = cur
+    if (sum(new.values()) != (m - 1) * i
+            or any(not 1 <= v <= wrap for v in new)
+            or any(k > l for k in new.values())):
+        yield (f"(1) at i={i}: need {(m - 1) * i} labels from"
+               f" [1,{wrap}], each at most {l} times")
+        return
+    if (len(cur_j) != wrap or len(prev_j) < wrap
+            or any(not 0 <= x <= l for x in cur_j)
+            or any(cur_j[r] - prev_j[r] not in (0, 1) for r in range(wrap))):
+        yield (f"(2) at i={i}: counters must stay in [0,{l}] and"
+               " move by at most one")
+        return
+    if not q <= cur_j[p] <= l:
+        yield f"(2) at i={i}: counter {p + 1} must be in [{q},{l}]"
+    keep = old
+    if p <= n - 2 and old[p + 1]:
+        keep = old.copy()
+        keep[p + 1] -= 1
+    if any(new[v] < k for v, k in keep.items()):
+        yield f"(4) at i={i}: earlier labels may not disappear"
+        return
+    base, want, diagonal = old, m - 1, False
+    if p == n - 1:
+        tag = "(4)"
+    else:
+        c_prev, c_cur = old[p + 1], new[p + 1]
+        held_j = prev_j[p]
+        diagonal = cur_j[p] - held_j == 1
+        if c_prev == 0 and held_j >= q:
+            tag = "(5)"
+            if not diagonal and c_cur:
+                yield (f"(5a) at i={i}: the diagonal label must stay"
+                       " absent when its counter holds")
+        elif c_prev == 0:
+            tag = "(6)"
+            if not diagonal:
+                yield f"(6) at i={i}: counter {p + 1} must reach {q}"
+        elif held_j >= q:
+            tag = "(7)"
+            if not diagonal and c_cur == c_prev - 1:
+                base, want = keep, m
+            elif not diagonal and c_cur != c_prev:
+                yield (f"(7) at i={i}: without a counter step the"
+                       " diagonal label may only keep or lose a copy")
+        else:
+            tag = "(8)"
+            if not diagonal:
+                yield f"(8) at i={i}: counter {p + 1} must reach {q}"
+    fresh = [v for v, k in new.items() if k > base[v]]
+    if len(fresh) != want or any(new[v] != base[v] + 1 for v in fresh):
+        yield f"{tag} at i={i}: expected {want} distinct new labels"
+        return
+    bump = _bumped(fresh, p, diagonal, params)
+    for r in range(1, wrap + 1):
+        expect = prev_j[r - 1] + (1 if r in bump else 0)
+        if cur_j[r - 1] != expect:
+            yield f"(9) at i={i}: counter {r} should be {expect}"
+            return
+
+
 def validate_i(entries: Sequence, params: Params) -> list[str]:
     """Check the defining conditions; returns violation messages ([] = ok)."""
     l, m, n = params.l, params.m, params.n
     wrap = (m - 1) * n
     if len(entries) != l * n:
         return [f"collection must have {l * n} pairs, got {len(entries)}"]
-    pairs: list[tuple[Counter, tuple[int, ...]]] = []
+    pairs: list[CountedPair] = []
     for entry in entries:
         if len(entry) != 2:
             return ["each entry must be a (multiset, counters) pair"]
@@ -143,129 +220,44 @@ def validate_i(entries: Sequence, params: Params) -> list[str]:
         bad.append("(3) at i=0: the counters must start at zero")
     if bad:
         return bad
-    for i in range(1, l * n):
-        p, q = divmod(i - 1, l)
-        q += 1
-        prev, prev_j = pairs[i - 1]
-        cur, cur_j = pairs[i]
-        if (sum(cur.values()) != (m - 1) * i
-                or any(not 1 <= v <= wrap for v in cur)
-                or any(k > l for k in cur.values())):
-            bad.append(f"(1) at i={i}: need {(m - 1) * i} labels from"
-                       f" [1,{wrap}], each at most {l} times")
-            continue
-        if (len(cur_j) != wrap
-                or any(not 0 <= x <= l for x in cur_j)
-                or any(cur_j[r] - prev_j[r] not in (0, 1) for r in range(wrap))):
-            bad.append(f"(2) at i={i}: counters must stay in [0,{l}] and"
-                       " move by at most one")
-            continue
-        if not q <= cur_j[p] <= l:
-            bad.append(f"(2) at i={i}: counter {p + 1} must be in [{q},{l}]")
-        keep = prev.copy()
-        if p <= n - 2 and keep[p + 1]:
-            keep[p + 1] -= 1
-        if +(keep - cur):
-            bad.append(f"(4) at i={i}: earlier labels may not disappear")
-            continue
-        if p == n - 1:
-            tilde = cur - prev
-            tag = "(4)"
-            want = m - 1
-            diagonal = False
-        else:
-            c_prev, c_cur = prev[p + 1], cur[p + 1]
-            held_j = prev_j[p]
-            tilde = cur - prev
-            want = m - 1
-            diagonal = cur_j[p] - prev_j[p] == 1
-            if c_prev == 0 and held_j >= q:
-                tag = "(5)"
-                if not diagonal and c_cur:
-                    bad.append(f"(5a) at i={i}: the diagonal label must stay"
-                               " absent when its counter holds")
-            elif c_prev == 0:
-                tag = "(6)"
-                if not diagonal:
-                    bad.append(f"(6) at i={i}: counter {p + 1} must reach {q}")
-            elif held_j >= q:
-                tag = "(7)"
-                if not diagonal and c_cur == c_prev - 1:
-                    tilde = cur - keep
-                    want = m
-                elif not diagonal and c_cur != c_prev:
-                    bad.append(f"(7) at i={i}: without a counter step the"
-                               " diagonal label may only keep or lose a copy")
-            else:
-                tag = "(8)"
-                if not diagonal:
-                    bad.append(f"(8) at i={i}: counter {p + 1} must reach {q}")
-        if sum(tilde.values()) != want or any(k != 1 for k in tilde.values()):
-            bad.append(f"{tag} at i={i}: expected {want} distinct new labels")
-            continue
-        bump = _bumped(set(tilde), p, diagonal, params)
-        for r in range(1, wrap + 1):
-            expect = prev_j[r - 1] + (1 if r in bump else 0)
-            if cur_j[r - 1] != expect:
-                bad.append(f"(9) at i={i}: counter {r} should be {expect}")
-                break
-    return bad
+    return [msg for i in range(1, l * n)
+            for msg in _i_step(pairs[i - 1], pairs[i], i, params)]
 
 
 def enumerate_i(params: Params) -> Iterator[ICollection]:
     """All valid I-collections, generated from the defining conditions
-    alone (no configurations involved)."""
+    alone (no configurations involved): every next pair that ``_i_step``
+    accepts after the last one."""
     l, m, n = params.l, params.m, params.n
     wrap = (m - 1) * n
-    chain: list[tuple[Counter, tuple[int, ...]]] = [(Counter(), (0,) * wrap)]
+    chain: list[CountedPair] = [(Counter(), (0,) * wrap)]
 
-    def freeze() -> ICollection:
-        return tuple((tuple(sorted(held.elements())), j) for held, j in chain)
-
-    def attempt(i: int, labels, diagonal: bool, drop: bool):
-        held, counts = chain[-1]
+    def candidates(last: CountedPair, i: int) -> Iterator[CountedPair]:
+        # add m - 1 labels, or retire one copy of label p + 1 and add m others
+        held, counts = last
         p = (i - 1) // l
-        q = i - p * l
-        bump = _bumped(set(labels), p, diagonal, params)
-        if any(counts[r - 1] + 1 > l for r in bump):
-            return None
-        if p == n - 1 and not q <= counts[n - 1] + (1 if n in bump else 0):
-            return None
-        new_held = held.copy()
-        if drop:
-            new_held[p + 1] -= 1
-        new_held.update(labels)
-        new_counts = tuple(counts[r] + (1 if r + 1 in bump else 0)
-                           for r in range(wrap))
-        return new_held, new_counts
+        room = [v for v in range(1, wrap + 1) if held[v] < l]
+        moves = [(held, combinations(room, m - 1))]
+        if held[p + 1]:
+            moves.append((held - Counter((p + 1,)),
+                          combinations([v for v in room if v != p + 1], m)))
+        for rest, picks in moves:
+            for added in picks:
+                new = rest + Counter(added)
+                # with and without a diagonal dot, which the last block
+                # ignores
+                for bump in {frozenset(_bumped(added, p, diagonal, params))
+                             for diagonal in (False, True)}:
+                    yield new, tuple(c + (r in bump)
+                                     for r, c in enumerate(counts, 1))
 
     def rec(i: int) -> Iterator[ICollection]:
         if i == l * n:
-            yield freeze()
+            yield tuple((tuple(sorted(held.elements())), j) for held, j in chain)
             return
-        held, counts = chain[-1]
-        p = (i - 1) // l
-        q = i - p * l
-        options: list[tuple[int, bool, bool, bool]] = []
-        if p == n - 1:
-            options.append((m - 1, False, False, True))
-        else:
-            held_j = counts[p]
-            if held_j == q - 1:
-                options.append((m - 1, True, False, True))
-            else:
-                if held_j + 1 <= l:
-                    options.append((m - 1, True, False, True))
-                options.append((m - 1, False, False, False))
-                if held[p + 1]:
-                    options.append((m, False, True, False))
-        for count, diagonal, drop, diag_label_ok in options:
-            pool = [v for v in range(1, wrap + 1)
-                    if held[v] < l and (diag_label_ok or v != p + 1)]
-            for labels in combinations(pool, count):
-                nxt = attempt(i, labels, diagonal, drop)
-                if nxt is None:
-                    continue
+        last = chain[-1]
+        for nxt in candidates(last, i):
+            if next(_i_step(last, nxt, i, params), None) is None:
                 chain.append(nxt)
                 yield from rec(i + 1)
                 chain.pop()
@@ -340,73 +332,78 @@ def k_to_config(entries: Sequence[Sequence[int]], params: Params) -> Config:
     return source
 
 
-def _leftovers(final: set[int], params: Params) -> tuple[list[int], list[int]]:
-    """Elements whose row still waits for the last column, split into
-    plain rows (never entered) and wrapped rows (never re-entered)."""
+def _k_step(prev: set[int], entry: Sequence[int], i: int,
+            params: Params) -> Iterator[str]:
+    """Messages for the conditions (1), (2) and (3a) that set i breaks
+    after set i - 1, which is ``prev``."""
+    l, m, n = params.l, params.m, params.n
+    size = l * (m - 1) * n
+    raw = tuple(entry)
+    cur = set(raw)
+    if (len(cur) != len(raw) or len(cur) != (m - 1) * i
+            or any(not 1 <= v <= size for v in cur)):
+        yield (f"(1) at i={i}: need {(m - 1) * i} distinct elements"
+               f" of [1,{size}]")
+        return
+    if (prev - {i}) - cur:
+        yield f"(2) at i={i}: earlier elements may not disappear"
+    for v in sorted(cur - (prev - {i})):
+        if (v - 1) % l and v - 1 not in prev:
+            yield (f"(3a) at i={i}: element {v} enters before"
+                   f" {v - 1} of its block")
+            return
+
+
+def _k_last(final: set[int], params: Params) -> Iterator[str]:
+    """Messages for condition (3b) on the last set: the rows still waiting
+    for the forced last column, plain rows (never entered) and wrapped rows
+    (never re-entered), may not hold two rows of one block."""
     l, size = params.l, params.l * (params.m - 1) * params.n
     ln = params.l * params.n
     plain = [v for v in range(ln, size + 1) if v not in final]
     wrapped = [v for v in range(1, ln) if v not in final] + [ln]
-    return plain, wrapped
+    for kind, group in (("plain", plain), ("wrapped", wrapped)):
+        blocks = [(v - 1) // l for v in group]
+        if len(blocks) != len(set(blocks)):
+            yield (f"(3b): two {kind} rows of one block are left for"
+                   " the last column")
 
 
 def validate_k(entries: Sequence, params: Params) -> list[str]:
     """Check the defining conditions; returns violation messages ([] = ok)."""
-    l, m, n = params.l, params.m, params.n
-    size = l * (m - 1) * n
+    l, n = params.l, params.n
     if len(entries) != l * n - 1:
         return [f"collection must have {l * n - 1} sets, got {len(entries)}"]
     bad: list[str] = []
     prev: set[int] = set()
-    for i in range(1, l * n):
-        raw = tuple(entries[i - 1])
-        cur = set(raw)
-        if (len(cur) != len(raw) or len(cur) != (m - 1) * i
-                or any(not 1 <= v <= size for v in cur)):
-            bad.append(f"(1) at i={i}: need {(m - 1) * i} distinct elements"
-                       f" of [1,{size}]")
-            prev = cur
-            continue
-        if (prev - {i}) - cur:
-            bad.append(f"(2) at i={i}: earlier elements may not disappear")
-        for v in sorted(cur - (prev - {i})):
-            if (v - 1) % l and v - 1 not in prev:
-                bad.append(f"(3a) at i={i}: element {v} enters before"
-                           f" {v - 1} of its block")
-                break
-        prev = cur
-    if bad:
-        return bad
-    for kind, group in zip(("plain", "wrapped"), _leftovers(prev, params)):
-        blocks = [(v - 1) // l for v in group]
-        if len(blocks) != len(set(blocks)):
-            bad.append(f"(3b): two {kind} rows of one block are left for"
-                       " the last column")
-    return bad
+    for i, entry in enumerate(entries, start=1):
+        bad.extend(_k_step(prev, entry, i, params))
+        prev = set(entry)
+    return bad or list(_k_last(prev, params))
 
 
 def enumerate_k(params: Params) -> Iterator[KCollection]:
-    """All valid K-collections, generated from the defining conditions."""
+    """All valid K-collections, generated from the defining conditions:
+    every next set that ``_k_step`` accepts after the last one, and every
+    last set that ``_k_last`` accepts."""
     l, m, n = params.l, params.m, params.n
     size = l * (m - 1) * n
-    ln = l * n
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, prev: set[int]) -> Iterator[KCollection]:
-        if i == ln:
-            if all(len(g) == len({(v - 1) // l for v in g})
-                   for g in _leftovers(prev, params)):
+        if i == l * n:
+            if next(_k_last(prev, params), None) is None:
                 yield tuple(out)
             return
         base = prev - {i}
-        need = (m - 1) * i - len(base)
-        pool = [v for v in range(1, size + 1)
-                if v not in base and ((v - 1) % l == 0 or v - 1 in prev)]
-        for fresh in combinations(pool, need):
-            cur = base | set(fresh)
-            out.append(tuple(sorted(cur)))
-            yield from rec(i + 1, cur)
-            out.pop()
+        pool = [v for v in range(1, size + 1) if v not in base]
+        for fresh in combinations(pool, (m - 1) * i - len(base)):
+            cur = base.union(fresh)
+            entry = tuple(sorted(cur))
+            if next(_k_step(prev, entry, i, params), None) is None:
+                out.append(entry)
+                yield from rec(i + 1, cur)
+                out.pop()
 
     yield from rec(1, set())
 

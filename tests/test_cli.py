@@ -189,6 +189,27 @@ def test_convert_from_xi1_rejects_a_bad_row_group(capsys, monkeypatch, doc, l):
     assert captured.err.startswith("invalid input: xi1: ")
 
 
+@pytest.mark.parametrize("doc, lmn", [
+    # validate_i accepts it, but it is the I-collection of no configuration
+    ([{"I": [], "J": [0, 0, 0, 0]}, {"I": [1, 2], "J": [1, 1, 0, 0]},
+      {"I": [1, 1, 2, 3], "J": [2, 1, 0, 0]},
+      {"I": [1, 1, 2, 2, 3, 3], "J": [2, 2, 0, 0]}], (2, 3, 2)),
+    # a short counter tuple, which the next step reads as its previous one
+    ([{"I": [], "J": [0, 0, 0]}, {"I": [2], "J": [1]},
+      {"I": [1, 2], "J": [1, 1, 0]}], (1, 2, 3)),
+])
+def test_convert_from_tuples_i_rejects_a_bad_collection(capsys, monkeypatch,
+                                                         doc, lmn):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    l, m, n = map(str, lmn)
+    code = main(["convert", "--from", "tuples-i", "--to", "config",
+                 "--l", l, "--m", m, "--n", n])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: tuples-i: ")
+
+
 def test_convert_to_dyck(capsys, monkeypatch):
     source = {"l": 1, "m": 2, "n": 2, "columns": [[1, 2], [3, 4]]}
     code, out = run_stdin(capsys, monkeypatch, json.dumps(source),

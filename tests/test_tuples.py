@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dellac.grid import Config, Params, enumerate_configs
+from dellac.grid import Config, Params, count_configs, enumerate_configs
 from dellac.embed import xi1
 from dellac.tuples import (
     config_to_i,
@@ -26,6 +26,10 @@ from dellac.tuples import (
 )
 
 SMALL = [Params(1, 2, 3), Params(2, 2, 2), Params(1, 3, 2), Params(2, 2, 1)]
+
+# every grid with l * m * n <= 12
+SWEEP = [Params(l, m, n) for l in range(1, 13) for m in range(2, 13)
+         for n in range(1, 13) if l * m * n <= 12]
 
 
 def all_configs(params):
@@ -78,6 +82,27 @@ def test_i_generation_matches_configs(params, count):
     assert len(images) == count
     assert generated == images
     assert count_i(params) == count
+
+
+def test_the_sweep_holds_every_small_grid():
+    assert len(SWEEP) == 39
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(p, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="count_i overcounts at l = 2, m = 3"))
+    if p == Params(2, 3, 2) else p for p in SWEEP], ids=str)
+def test_i_model_counts_every_small_grid(params):
+    assert count_i(params) == count_configs(params)
+
+
+@pytest.mark.parametrize("params", SWEEP, ids=str)
+def test_every_generated_collection_is_valid(params):
+    for entries in enumerate_i(params):
+        assert validate_i(entries, params) == []
+    for entries in enumerate_k(params):
+        assert validate_k(entries, params) == []
 
 
 def test_i_counters_ignore_wrapped_labels():
@@ -146,6 +171,15 @@ def test_validate_i_names_the_broken_condition():
     assert any(msg.startswith("(9)") for msg in validate_i(wrong_bump, params))
 
 
+def test_validate_i_reports_a_short_counter_tuple_at_both_steps():
+    # the short tuple of step 1 is the previous one of step 2
+    params = Params(1, 2, 3)
+    entries = (((), (0, 0, 0)), ((2,), (1,)), ((1, 2), (1, 1, 0)))
+    assert validate_i(entries, params) == [
+        f"(2) at i={i}: counters must stay in [0,1] and move by at most one"
+        for i in (1, 2)]
+
+
 def test_validate_i_rejects_vanishing_labels():
     params = Params(2, 2, 2)
     entries = list(config_to_i(Config(params, ((1, 2), (1, 2), (3, 4), (3, 4)))))
@@ -192,6 +226,11 @@ def test_k_generation_matches_configs(params, count):
     assert len(images) == count
     assert generated == images
     assert count_k(params) == count
+
+
+@pytest.mark.parametrize("params", SWEEP, ids=str)
+def test_k_model_counts_every_small_grid(params):
+    assert count_k(params) == count_configs(params)
 
 
 def test_k_is_insensitive_to_row_spreading():
