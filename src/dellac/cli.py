@@ -10,7 +10,8 @@ prints one pass/fail row per identity and parameter set.  All output is
 byte-deterministic for fixed flags.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 input
-validation error.
+validation error.  convert exits 2 for a fault in its flags or JSON text and
+3 for any fault in the document or the conversion; a traceback is a bug.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dellac.dyck import (
 from dellac.embed import xi1, xi1_inverse, xi2, xi2_inverse
 from dellac.grid import (
     Config,
-    ConfigError,
     Params,
     count_configs,
     enumerate_configs,
@@ -55,7 +55,6 @@ from dellac.tuples import (
     validate_k,
 )
 from dellac.words import (
-    WordError,
     recover_pi,
     st_from_pi,
 )
@@ -118,6 +117,8 @@ def cmd_enumerate(args, out) -> int:
         params = Params(args.l, args.m, args.n)
     except ValueError as exc:
         return fail_usage(str(exc))
+    if args.limit is not None and args.limit < 0:
+        return fail_usage("--limit must be nonnegative")
     count = 0
     if args.format == "csv":
         out.write(",".join(f"col{j}" for j in range(1, params.cols + 1)) + "\n")
@@ -155,13 +156,13 @@ def cmd_count(args, out) -> int:
 # convert
 # ---------------------------------------------------------------------------
 
-def _need_params(args):
-    if args.l is None or args.m is None or args.n is None:
-        return None
-    return Params(args.l, args.m, args.n)
+# The readers and writers below look up the library functions they call in
+# this module's globals at call time, so a tracer that rebinds them sees each.
+
+LMN = ("l", "m", "n")
 
 
-def _grid_config(doc) -> Config:
+def _read_config(doc, _params=None) -> Config:
     """The grid configuration a document holds; boards are not converted."""
     c = Config.from_json_dict(doc)
     if not isinstance(c.params, Params):
@@ -169,133 +170,106 @@ def _grid_config(doc) -> Config:
     return c
 
 
-def _read_source(args, doc):
-    """Turn the parsed input document into a Config, or (None, exit code)."""
-    if args.source == "config":
-        try:
-            return _grid_config(doc), OK
-        except (ConfigError, ValueError, KeyError, TypeError) as exc:
-            return None, fail_validation(f"config: {exc}")
-    if args.source == "dumont":
-        params = _need_params(args)
-        if params is None:
-            return None, fail_usage("--from dumont needs --l, --m and --n")
-        try:
-            sigma = tuple(int(v) for v in doc["sigma"])
-            return psi(sigma, params), OK
-        except (WordError, ValueError, KeyError, TypeError) as exc:
-            return None, fail_validation(f"dumont: {exc}")
-    if args.source == "tuples-i":
-        params = _need_params(args)
-        if params is None:
-            return None, fail_usage("--from tuples-i needs --l, --m and --n")
-        try:
-            entries = i_from_json(doc)
-        except (ValueError, KeyError, TypeError) as exc:
-            return None, fail_validation(f"tuples-i: {exc}")
-        problems = validate_i(entries, params)
-        if problems:
-            return None, fail_validation("tuples-i: " + "; ".join(problems))
-        try:
-            return i_to_config(entries, params), OK
-        except ValueError as exc:  # validate_i accepts a few non-images
-            return None, fail_validation(f"tuples-i: {exc}")
-    if args.source == "tuples-k":
-        params = _need_params(args)
-        if params is None:
-            return None, fail_usage("--from tuples-k needs --l, --m and --n")
-        try:
-            entries = k_from_json(doc)
-        except (ValueError, TypeError) as exc:
-            return None, fail_validation(f"tuples-k: {exc}")
-        problems = validate_k(entries, params)
-        if problems:
-            return None, fail_validation("tuples-k: " + "; ".join(problems))
-        return k_to_config(entries, params), OK
-    if args.source == "xi1":
-        if args.l is None:
-            return None, fail_usage("--from xi1 needs --l (the row multiplicity undone)")
-        try:
-            source = xi1_inverse(_grid_config(doc), args.l)
-        except (ConfigError, ValueError, KeyError, TypeError) as exc:
-            return None, fail_validation(f"xi1: {exc}")
-        if source is None:
-            return None, fail_validation("xi1: document is not in the embedding image")
-        return source, OK
-    if args.source == "xi2":
-        try:
-            image = _grid_config(doc["config"])
-            va = [tuple(int(x) for x in triple) for triple in doc["va"]]
-        except (ConfigError, ValueError, KeyError, TypeError) as exc:
-            return None, fail_validation(f"xi2: {exc}")
-        source = xi2_inverse(image, va)
-        if source is None:
-            return None, fail_validation("xi2: (image, va) pair is not admissible")
-        return source, OK
-    return None, fail_usage(f"unknown source representation {args.source!r}")
+def _read_tuples_i(doc, params: Params) -> Config:
+    entries = i_from_json(doc)
+    problems = validate_i(entries, params)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return i_to_config(entries, params)  # validate_i accepts a few non-images
 
 
-def _write_target(args, c: Config, out) -> int:
-    params = c.params
-    if args.target == "config":
-        out.write(dumps(c.to_json_dict()) + "\n")
-        return OK
-    if args.target == "dumont":
-        sigma = varphi(c)
-        try:
-            pi = recover_pi(sigma, params)
-        except WordError as exc:
-            return fail_validation(f"dumont: {exc}")
-        out.write(dumps({
-            "sigma": list(sigma),
-            "pi": list(pi),
-            "st": st_from_pi(pi, params.l),
-            "sigma_text": render_word(sigma),
-            "pi_text": render_word(pi),
-        }) + "\n")
-        return OK
-    if args.target == "dyck":
-        if params.l != 1 or params.m != 2:
-            return fail_validation("dyck paths only describe the l=1, m=2 family")
-        path = big14_path(c)
-        out.write(dumps({"path": path, "area": area(rises_from_dyck(path))}) + "\n")
-        return OK
-    if args.target == "tuples-i":
-        out.write(dumps(i_to_json(config_to_i(c))) + "\n")
-        return OK
-    if args.target == "tuples-k":
-        out.write(dumps(k_to_json(config_to_k(c))) + "\n")
-        return OK
-    if args.target == "xi1":
-        out.write(dumps(xi1(c).to_json_dict()) + "\n")
-        return OK
-    if args.target == "xi2":
-        if params.l != 1:
-            return fail_validation("xi2 expects a single-dot-per-row configuration")
-        image, va = xi2(c)
-        out.write(dumps({"config": image.to_json_dict(),
-                         "va": [list(t) for t in va]}) + "\n")
-        return OK
-    return fail_usage(f"unknown target representation {args.target!r}")
+def _read_tuples_k(doc, params: Params) -> Config:
+    entries = k_from_json(doc)
+    problems = validate_k(entries, params)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return k_to_config(entries, params)
+
+
+def _read_xi1(doc, l: int) -> Config:
+    source = xi1_inverse(_read_config(doc), l)
+    if source is None:
+        raise ValueError("document is not in the embedding image")
+    return source
+
+
+def _read_xi2(doc, _params) -> Config:
+    image = _read_config(doc["config"])
+    va = [(int(a), int(t), int(u)) for a, t, u in doc["va"]]
+    source = xi2_inverse(image, va)
+    if source is None:
+        raise ValueError("(image, va) pair is not admissible")
+    return source
+
+
+def _write_dumont(c: Config) -> dict:
+    sigma = varphi(c)
+    pi = recover_pi(sigma, c.params)
+    return {"sigma": list(sigma), "pi": list(pi), "st": st_from_pi(pi, c.params.l),
+            "sigma_text": render_word(sigma), "pi_text": render_word(pi)}
+
+
+def _write_dyck(c: Config) -> dict:
+    path = big14_path(c)
+    return {"path": path, "area": area(rises_from_dyck(path))}
+
+
+def _write_xi2(c: Config) -> dict:
+    image, va = xi2(c)
+    return {"config": image.to_json_dict(), "va": [list(t) for t in va]}
+
+
+# --from name -> (flags it needs, reader from (document, params) to Config)
+SOURCES = {
+    "config": ((), _read_config),
+    "dumont": (LMN, lambda doc, p: psi(tuple(map(int, doc["sigma"])), p)),
+    "tuples-i": (LMN, _read_tuples_i),
+    "tuples-k": (LMN, _read_tuples_k),
+    "xi1": (("l",), _read_xi1),
+    "xi2": ((), _read_xi2),
+}
+
+# --to name -> writer from Config to a JSON document
+TARGETS = {
+    "config": Config.to_json_dict,
+    "dumont": _write_dumont,
+    "dyck": _write_dyck,
+    "tuples-i": lambda c: i_to_json(config_to_i(c)),
+    "tuples-k": lambda c: k_to_json(config_to_k(c)),
+    "xi1": lambda c: xi1(c).to_json_dict(),
+    "xi2": _write_xi2,
+}
 
 
 def cmd_convert(args, out) -> int:
-    if args.input is None:
-        text = sys.stdin.read()
-    else:
-        try:
+    flags, read = SOURCES[args.source]
+    if any(getattr(args, flag) is None for flag in flags):
+        return fail_usage(f"--from {args.source} needs --" + ", --".join(flags))
+    try:
+        params = Params(args.l, args.m, args.n) if flags == LMN else args.l
+    except ValueError as exc:
+        return fail_usage(str(exc))
+    try:
+        if args.input is None:
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            return fail_usage(str(exc))
-    try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        return fail_usage(str(exc))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, too deep, too long
         return fail_usage(f"malformed JSON: {exc}")
-    c, status = _read_source(args, doc)
-    if c is None:
-        return status
-    return _write_target(args, c, out)
+    try:
+        c = read(doc, params)
+    except (ValueError, KeyError, TypeError) as exc:
+        return fail_validation(f"{args.source}: {exc}")
+    try:
+        result = TARGETS[args.target](c)
+    except ValueError as exc:
+        return fail_validation(f"{args.target}: {exc}")
+    out.write(dumps(result) + "\n")
+    return OK
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("convert", help="convert between representations")
-    p.add_argument("--from", dest="source", required=True,
-                   choices=("config", "dumont", "tuples-i", "tuples-k",
-                            "xi1", "xi2"))
-    p.add_argument("--to", dest="target", required=True,
-                   choices=("config", "dumont", "dyck", "tuples-i",
-                            "tuples-k", "xi1", "xi2"))
+    p.add_argument("--from", dest="source", required=True, choices=SOURCES)
+    p.add_argument("--to", dest="target", required=True, choices=TARGETS)
     p.add_argument("--input", metavar="PATH", default=None,
                    help="JSON document (default: stdin)")
     p.add_argument("--l", type=int, default=None)

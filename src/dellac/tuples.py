@@ -230,7 +230,8 @@ def enumerate_i(params: Params) -> Iterator[ICollection]:
     accepts after the last one."""
     l, m, n = params.l, params.m, params.n
     wrap = (m - 1) * n
-    chain: list[CountedPair] = [(Counter(), (0,) * wrap)]
+    # the pairs so far, each multiset sorted once when its pair joins
+    chain: list[IPair] = [((), (0,) * wrap)]
 
     def candidates(last: CountedPair, i: int) -> Iterator[CountedPair]:
         # add m - 1 labels, or retire one copy of label p + 1 and add m others
@@ -251,18 +252,17 @@ def enumerate_i(params: Params) -> Iterator[ICollection]:
                     yield new, tuple(c + (r in bump)
                                      for r, c in enumerate(counts, 1))
 
-    def rec(i: int) -> Iterator[ICollection]:
+    def rec(i: int, last: CountedPair) -> Iterator[ICollection]:
         if i == l * n:
-            yield tuple((tuple(sorted(held.elements())), j) for held, j in chain)
+            yield tuple(chain)
             return
-        last = chain[-1]
         for nxt in candidates(last, i):
             if next(_i_step(last, nxt, i, params), None) is None:
-                chain.append(nxt)
-                yield from rec(i + 1)
+                chain.append((tuple(sorted(nxt[0].elements())), nxt[1]))
+                yield from rec(i + 1, nxt)
                 chain.pop()
 
-    yield from rec(1)
+    yield from rec(1, (Counter(), (0,) * wrap))
 
 
 def count_i(params: Params) -> int:

@@ -10,11 +10,21 @@ from math import comb
 from dellac.bijection import phi, varphi
 from dellac.boundary import count_boundary, genocchi_numbers
 from dellac.checks import GENOCCHI_PREFIX
-from dellac.cli import main, parse_partition, render_word
+from dellac.cli import build_parser, main, parse_partition, render_word
 from dellac.grid import Config, Params, enumerate_configs, inversions
 
 EXAMPLE_232 = {"l": 2, "m": 3, "n": 2,
                "columns": [[1, 2, 5], [1, 4, 5], [3, 4, 6], [2, 3, 6]]}
+EXAMPLE_132 = {"l": 1, "m": 3, "n": 2, "columns": [[1, 2, 4], [3, 5, 6]]}
+BOARD = {"n": 3, "top": [2], "bottom": [2, 1],
+         "columns": [[1, 2], [3, 4], [5, 6]]}
+
+
+def convert_choices(dest):
+    """The --from (dest "source") or --to (dest "target") names of convert."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return next(a.choices for a in sub.choices["convert"]._actions
+                if a.dest == dest)
 
 
 def run(capsys, *argv):
@@ -72,6 +82,13 @@ def test_enumerate_csv_and_limit(capsys):
     assert rows[0] == "col1,col2,col3"
     assert rows[1] == "1 2,3 4,5 6"
     assert rows[-1] == "count,2"
+
+
+def test_enumerate_rejects_a_negative_limit(capsys):
+    code, out = run(capsys, "enumerate", "--l", "1", "--m", "2", "--n", "3",
+                    "--limit", "-1")
+    assert code == 2
+    assert out == ""
 
 
 def test_enumerate_is_deterministic(capsys):
@@ -142,6 +159,20 @@ def test_convert_dumont_needs_params(capsys, monkeypatch):
     code, _ = run_stdin(capsys, monkeypatch, '{"sigma": [3, 1, 4, 2]}',
                         "convert", "--from", "dumont", "--to", "config")
     assert code == 2
+
+
+@pytest.mark.parametrize("source, needs", [
+    ("dumont", "--l, --m, --n"), ("tuples-i", "--l, --m, --n"),
+    ("tuples-k", "--l, --m, --n"), ("xi1", "--l")],
+    ids=["dumont", "tuples-i", "tuples-k", "xi1"])
+def test_convert_names_the_flags_a_source_needs(capsys, monkeypatch, source,
+                                                needs):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"sigma": [3, 1, 4, 2]}'))
+    code = main(["convert", "--from", source, "--to", "config"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"usage error: --from {source} needs {needs}\n"
 
 
 def test_convert_tuples_round_trips(capsys, monkeypatch):
@@ -238,15 +269,94 @@ def test_convert_invalid_config(capsys, monkeypatch):
 @pytest.mark.parametrize("source, to", [
     ("config", "config"), ("config", "dumont"), ("config", "dyck"), ("xi1", "config")])
 def test_convert_rejects_a_board_document(capsys, monkeypatch, source, to):
-    board = {"n": 3, "top": [2], "bottom": [2, 1],
-             "columns": [[1, 2], [3, 4], [5, 6]]}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(board)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(BOARD)))
     code = main(["convert", "--from", source, "--to", to, "--l", "1"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == (f"invalid input: {source}: "
                             "a board document is not a grid configuration\n")
+
+
+XI2_IMAGE = {"l": 1, "m": 2, "n": 2, "columns": [[1, 2], [3, 4]]}
+
+
+@pytest.mark.parametrize("text, argv, code, err", [
+    # a va entry with two numbers, and an empty one
+    (json.dumps({"config": XI2_IMAGE, "va": [[2, 0]]}), ("--from", "xi2"),
+     3, "invalid input: xi2: "),
+    (json.dumps({"config": XI2_IMAGE, "va": [[]]}), ("--from", "xi2"),
+     3, "invalid input: xi2: "),
+    # an xi2 image off the (1,2,n) grid
+    (json.dumps({"config": EXAMPLE_132, "va": []}), ("--from", "xi2"),
+     3, "invalid input: xi2: "),
+    # an impossible grid is a usage error, whatever the document
+    ("[]", ("--from", "dumont", "--l", "0", "--m", "2", "--n", "2"),
+     2, "usage error: "),
+    ("[]", ("--from", "tuples-i", "--l", "0", "--m", "2", "--n", "2"),
+     2, "usage error: "),
+    ("[]", ("--from", "tuples-k", "--l", "0", "--m", "2", "--n", "2"),
+     2, "usage error: "),
+    # JSON text that json.loads rejects with other than JSONDecodeError
+    ("[" * 100_000, ("--from", "config"), 2, "usage error: malformed JSON: "),
+    ("1" * 5000, ("--from", "config"), 2, "usage error: malformed JSON: "),
+], ids=["va-pair", "va-empty", "xi2-off-grid", "dumont-l0", "tuples-i-l0",
+        "tuples-k-l0", "json-too-deep", "json-number-too-long"])
+def test_convert_sends_each_input_fault_to_an_exit_code(
+        capsys, monkeypatch, text, argv, code, err):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    status = main(["convert", *argv, "--to", "config"])
+    captured = capsys.readouterr()
+    assert status == code
+    assert captured.out == ""
+    assert captured.err.startswith(err)
+
+
+def test_convert_rejects_an_input_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code = main(["convert", "--from", "config", "--to", "config",
+                 "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: malformed JSON: ")
+
+
+def convert(monkeypatch, doc, *argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    return main(["convert", *argv])
+
+
+@pytest.mark.parametrize("target", convert_choices("target"))
+@pytest.mark.parametrize("source", convert_choices("source"))
+def test_convert_every_pair_exits_zero_or_three(capsys, monkeypatch, source,
+                                                target):
+    for example in (EXAMPLE_232, EXAMPLE_132):
+        flags = [x for k in "lmn" for x in (f"--{k}", str(example[k]))]
+        # the worked configuration in the source's form, where it has one
+        status = convert(monkeypatch, example, "--from", "config",
+                         "--to", source)
+        out = capsys.readouterr().out
+        doc = json.loads(out) if status == 0 else example
+        code = convert(monkeypatch, doc, "--from", source, "--to", target,
+                       *flags)
+        captured = capsys.readouterr()
+        assert code in (0, 3)
+        assert (captured.out == "") == (code == 3)
+        if code == 3:
+            assert captured.err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("doc", [[1], {}, BOARD], ids=["list", "empty", "board"])
+@pytest.mark.parametrize("source", convert_choices("source"))
+def test_convert_every_source_rejects_a_foreign_document(capsys, monkeypatch,
+                                                         source, doc):
+    code = convert(monkeypatch, doc, "--from", source, "--to", "config",
+                   "--l", "1", "--m", "2", "--n", "3")
+    captured = capsys.readouterr()
+    assert code in (2, 3)
+    assert captured.out == ""
 
 
 def test_poincare(capsys):
