@@ -313,18 +313,22 @@ def _require(cond: bool, message: str) -> None:
         raise HypothesisViolated(message)
 
 
+def _top_row_sides(n: int, lam: Partition) -> tuple[QPoly, QPoly]:
+    """The board polynomial, and its expansion along the top row."""
+    return (q_partition_function(n, lam),
+            _expand_top_row(n, lam, q_partition_function))
+
+
 def _check_pinned_row(n: int, lam: Partition) -> tuple[QPoly, QPoly]:
     _require(bool(lam) and lam[0] == n - 1,
              "first part must equal n - 1")
-    return (q_partition_function(n, lam),
-            _expand_top_row(n, lam, q_partition_function))
+    return _top_row_sides(n, lam)
 
 
 def _check_free_row(n: int, lam: Partition) -> tuple[QPoly, QPoly]:
     _require(not lam or lam[0] <= n - 2,
              "first part must be at most n - 2")
-    return (q_partition_function(n, lam),
-            _expand_top_row(n, lam, q_partition_function))
+    return _top_row_sides(n, lam)
 
 
 def _check_qtriple(n: int, lam: Partition) -> tuple[QPoly, QPoly]:

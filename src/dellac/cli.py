@@ -41,6 +41,7 @@ from dellac.grid import (
     Params,
     count_configs,
     enumerate_configs,
+    json_int,
 )
 from dellac.tuples import (
     config_to_i,
@@ -195,7 +196,7 @@ def _read_xi1(doc, l: int) -> Config:
 
 def _read_xi2(doc, _params) -> Config:
     image = _read_config(doc["config"])
-    va = [(int(a), int(t), int(u)) for a, t, u in doc["va"]]
+    va = [(json_int(a), json_int(t), json_int(u)) for a, t, u in doc["va"]]
     source = xi2_inverse(image, va)
     if source is None:
         raise ValueError("(image, va) pair is not admissible")
@@ -222,7 +223,7 @@ def _write_xi2(c: Config) -> dict:
 # --from name -> (flags it needs, reader from (document, params) to Config)
 SOURCES = {
     "config": ((), _read_config),
-    "dumont": (LMN, lambda doc, p: psi(tuple(map(int, doc["sigma"])), p)),
+    "dumont": (LMN, lambda doc, p: psi(tuple(map(json_int, doc["sigma"])), p)),
     "tuples-i": (LMN, _read_tuples_i),
     "tuples-k": (LMN, _read_tuples_k),
     "xi1": (("l",), _read_xi1),

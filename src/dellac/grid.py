@@ -27,6 +27,18 @@ then rows 1 .. rows // 2; the odd letters fill the other rows from the
 bottom, then the suffix.  A grid's half is ``num_values / 2`` (the one place
 where the parity of m*n matters), a board's the height of its widest window.
 
+Unit switches.  A ``SwitchStep`` names a rectangle of two rows and two
+columns, and ``elementary_switch`` exchanges the two rows between the two
+columns.  That is a unit switch when each column holds exactly one of the
+rows, not the same one, the moved dots stay inside their windows, and the
+inversion count changes by exactly one.  A dot strictly inside the rectangle
+adds 2 to that change and a dot on its open border adds 1, both with the
+sign of the corner pair, while the dots outside it cancel; so a unit switch
+is one whose rectangle holds no dot but its two corners.
+``switch_decomposition`` finds a shortest staircase of unit switches from a
+grid configuration down to ``lowest``, and ``replay_switches`` climbs it
+back.
+
 Listing and counting.  ``fillings`` lists the fillings of any mask, for
 ``inversions`` to count one by one; it serves only where a listing is the
 output (``enumerate_configs``, ``boundary.enumerate_boundary``).  Every
@@ -44,6 +56,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import combinations
 from math import comb, prod
 from typing import Iterator, Optional, Sequence
@@ -199,6 +212,9 @@ class Config:
         cols = tuple(tuple(c) for c in self.columns)
         object.__setattr__(self, "columns", cols)
         p = self.params
+        if len(cols) != p.cols:  # before the mask, whose size p sets
+            raise ColumnCountViolation(
+                f"expected {p.cols} columns, got {len(cols)}")
         check_columns(cols, p.windows(), p.l, p.m)
 
     # -- dot orders ----------------------------------------------------
@@ -228,11 +244,19 @@ class Config:
         """Inverse of ``to_json_dict``: a document with ``top`` is a board."""
         if "top" in d:
             from .boundary import Board  # boundary imports this module
-            p: Shape = Board(int(d["n"]), tuple(int(t) for t in d["top"]),
-                             tuple(int(b) for b in d["bottom"]))
+            p: Shape = Board(json_int(d["n"]), tuple(map(json_int, d["top"])),
+                             tuple(map(json_int, d["bottom"])))
         else:
-            p = Params(int(d["l"]), int(d["m"]), int(d["n"]))
-        return cls(p, tuple(tuple(int(i) for i in c) for c in d["columns"]))
+            p = Params(json_int(d["l"]), json_int(d["m"]), json_int(d["n"]))
+        return cls(p, tuple(tuple(map(json_int, c)) for c in d["columns"]))
+
+
+def json_int(value) -> int:
+    """``value`` if it is an integer of a JSON document; TypeError for any
+    other type, booleans included."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def check_columns(columns: Sequence[Sequence[int]], windows: Windows,
@@ -385,50 +409,27 @@ class SwitchStep:
 
 
 def elementary_switch(c: Config, step: SwitchStep) -> Optional[Config]:
-    """Apply a unit switch; return the new configuration or None.
-
-    The rectangle corners must hold exactly two dots, either on the falling
-    diagonal (dots at (low_row, high_col) and (high_row, low_col); the switch
-    removes one inversion) or on the rising diagonal (adds one).  The border
-    and interior of the rectangle must be free of dots so the inversion count
-    changes by exactly one, and the moved dots must stay inside their column
-    windows.
-    """
+    """Exchange rows low_row and high_row between columns low_col and
+    high_col: the new configuration if that is a unit switch (each column
+    holds one of the two rows, not the same one; the dots stay inside their
+    windows; the inversion count changes by one), else None."""
     i1, i2, j1, j2 = step.low_row, step.high_row, step.low_col, step.high_col
-    if not (i1 < i2 and j1 < j2):
+    if not (i1 < i2 and 1 <= j1 < j2 <= len(c.columns)):
         return None
-    p = c.params
-    if not (1 <= j1 and j2 <= p.cols and 1 <= i1 and i2 <= p.rows):
-        return None
-    col1, col2 = set(c.columns[j1 - 1]), set(c.columns[j2 - 1])
-    falling = i2 in col1 and i1 in col2 and i1 not in col1 and i2 not in col2
-    rising = i1 in col1 and i2 in col2 and i2 not in col1 and i1 not in col2
-    if not (falling or rising):
-        return None
-    # unit condition: nothing strictly inside the rectangle or on the open
-    # borders between the corners
-    for i, j in c.dots_column_major():
-        strictly_between_rows = i1 < i < i2
-        strictly_between_cols = j1 < j < j2
-        if (strictly_between_rows and j1 <= j <= j2) or \
-           (strictly_between_cols and i in (i1, i2)):
-            return None
-    lo1, hi1 = p.window(j1)
-    lo2, hi2 = p.window(j2)
-    if falling:
-        new1, new2 = i1, i2   # column j1 gains i1, column j2 gains i2
-    else:
-        new1, new2 = i2, i1
-    if not (lo1 <= new1 <= hi1 and lo2 <= new2 <= hi2):
-        return None
+    pair = {i1: i2, i2: i1}
     cols = list(c.columns)
-    if falling:
-        cols[j1 - 1] = tuple(sorted(col1 - {i2} | {i1}))
-        cols[j2 - 1] = tuple(sorted(col2 - {i1} | {i2}))
-    else:
-        cols[j1 - 1] = tuple(sorted(col1 - {i1} | {i2}))
-        cols[j2 - 1] = tuple(sorted(col2 - {i2} | {i1}))
-    return Config(p, tuple(cols))
+    held = [pair.keys() & cols[j - 1] for j in (j1, j2)]
+    if len(held[0]) != 1 or len(held[1]) != 1 or held[0] == held[1]:
+        return None
+    for j in (j1, j2):
+        cols[j - 1] = tuple(sorted(pair.get(i, i) for i in cols[j - 1]))
+    try:
+        nxt = Config(c.params, tuple(cols))
+    except WindowViolation:
+        return None
+    if abs(inversions(nxt) - inversions(c)) != 1:
+        return None
+    return nxt
 
 
 def _candidate_steps(c: Config) -> list[SwitchStep]:
@@ -444,75 +445,49 @@ def _candidate_steps(c: Config) -> list[SwitchStep]:
     return sorted(steps)
 
 
-def _falling_switches(c: Config) -> Iterator[SwitchStep]:
-    """All unit switches that lower the inversion count by one, sorted."""
-    dots = c.dots_column_major()
-    steps = []
-    for i2, j1 in dots:
-        for i1, j2 in dots:
-            if i1 < i2 and j1 < j2:
-                steps.append(SwitchStep(i1, i2, j1, j2))
-    for step in sorted(steps):
-        yield step
-
-
 def switch_decomposition(c: Config) -> list[SwitchStep]:
-    """A staircase of unit switches from ``c`` down to the lowest
+    """A shortest staircase of unit switches from ``c`` to the lowest
     configuration.
 
     Applying the returned steps to ``c`` in order ends at ``lowest(params)``;
     replaying them reversed from the lowest configuration rebuilds ``c``.
     Every step changes the inversion count by exactly one, so the length is
-    at least inversions(c) - inv_lowest(params), with equality whenever a
-    monotone descent exists.  Most configurations descend monotonically
-    (greedy, lexicographically smallest falling switch first), but for l >= 2
-    there are configurations with no falling unit switch at all; those take a
-    shortest non-monotone detour found by breadth-first search.
+    at least |inversions(c) - inv_lowest(params)|, with equality exactly
+    when a monotone staircase exists.
+
+    The search is A* (Hart, Nilsson and Raphael, 1968) under the estimate
+    |inversions(x) - inv_lowest(params)|, which is consistent because every
+    step moves it by exactly one; it takes the absolute value because at
+    (2,3,3) and (3,2,3) some configurations lie below the lowest one.  Ties
+    go to fewer inversions, then to the smaller columns, so the staircase is
+    deterministic.
     """
     p = c.params
-    bottom = lowest(p)
-    steps: list[SwitchStep] = []
-    cur = c
-    while cur != bottom:
-        for step in _falling_switches(cur):
+    target, goal = lowest(p).columns, inv_lowest(p)
+    # columns -> (steps from c, previous columns, the step from them)
+    best: dict[Columns, tuple[int, Optional[Columns], Optional[SwitchStep]]] = {
+        c.columns: (0, None, None)}
+    inv = inversions(c)
+    heap = [(abs(inv - goal), inv, c.columns)]
+    while heap:
+        f, inv, cols = heappop(heap)
+        g = f - abs(inv - goal)
+        if cols == target:
+            path = []
+            while best[cols][1] is not None:
+                _, cols, step = best[cols]
+                path.append(step)
+            return path[::-1]
+        if g > best[cols][0]:
+            continue  # reached again by a shorter staircase
+        cur = Config(p, cols)
+        for step in _candidate_steps(cur):
             nxt = elementary_switch(cur, step)
-            if nxt is not None:
-                steps.append(step)
-                cur = nxt
-                break
-        else:
-            steps.extend(_bfs_to_lowest(cur))
-            return steps
-    return steps
-
-
-def _bfs_to_lowest(c: Config) -> list[SwitchStep]:
-    """Shortest unit-switch path from ``c`` to the lowest configuration."""
-    p = c.params
-    target = lowest(p).columns
-    start = c.columns
-    parent: dict = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt_frontier = []
-        for cols in frontier:
-            cur = Config(p, cols)
-            for step in _candidate_steps(cur):
-                nxt = elementary_switch(cur, step)
-                if nxt is None or nxt.columns in parent:
-                    continue
-                parent[nxt.columns] = (cols, step)
-                if nxt.columns == target:
-                    path: list[SwitchStep] = []
-                    node = nxt.columns
-                    while parent[node] is not None:
-                        prev, st = parent[node]
-                        path.append(st)
-                        node = prev
-                    path.reverse()
-                    return path
-                nxt_frontier.append(nxt.columns)
-        frontier = nxt_frontier
+            if nxt is None or nxt.columns in best and best[nxt.columns][0] <= g + 1:
+                continue
+            best[nxt.columns] = (g + 1, cols, step)
+            nxt_inv = inversions(nxt)
+            heappush(heap, (g + 1 + abs(nxt_inv - goal), nxt_inv, nxt.columns))
     raise RuntimeError(f"lowest configuration unreachable from {c}")
 
 

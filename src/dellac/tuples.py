@@ -23,7 +23,7 @@ from collections.abc import Iterator, Sequence
 from itertools import combinations
 
 from .embed import xi1, xi1_inverse
-from .grid import Config, Params
+from .grid import Config, Params, json_int
 
 IPair = tuple[tuple[int, ...], tuple[int, ...]]
 ICollection = tuple[IPair, ...]
@@ -274,7 +274,7 @@ def i_to_json(entries: Sequence[IPair]) -> list[dict]:
 
 
 def i_from_json(data: Sequence[dict]) -> ICollection:
-    return tuple((tuple(int(v) for v in d["I"]), tuple(int(x) for x in d["J"]))
+    return tuple((tuple(map(json_int, d["I"])), tuple(map(json_int, d["J"])))
                  for d in data)
 
 
@@ -417,4 +417,4 @@ def k_to_json(entries: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def k_from_json(data: Sequence[Sequence[int]]) -> KCollection:
-    return tuple(tuple(int(v) for v in k) for k in data)
+    return tuple(tuple(map(json_int, k)) for k in data)

@@ -300,8 +300,28 @@ XI2_IMAGE = {"l": 1, "m": 2, "n": 2, "columns": [[1, 2], [3, 4]]}
     # JSON text that json.loads rejects with other than JSONDecodeError
     ("[" * 100_000, ("--from", "config"), 2, "usage error: malformed JSON: "),
     ("1" * 5000, ("--from", "config"), 2, "usage error: malformed JSON: "),
+    # a string, a fraction or a boolean where an integer belongs
+    (json.dumps({"l": "1", "m": 2.7, "n": 1, "columns": [["1", 2]]}),
+     ("--from", "config"), 3, "invalid input: config: "),
+    (json.dumps({"l": True, "m": 2, "n": 1, "columns": [[1, 2]]}),
+     ("--from", "config"), 3, "invalid input: config: "),
+    (json.dumps({"l": 1, "m": 2, "n": 1, "columns": [[True, 2]]}),
+     ("--from", "config"), 3, "invalid input: config: "),
+    (json.dumps({"sigma": [4, 1, 5, 2, 6, "3"]}),
+     ("--from", "dumont", "--l", "1", "--m", "2", "--n", "2"),
+     3, "invalid input: dumont: "),
+    (json.dumps([{"I": [], "J": [0, 0]}, {"I": [2.0], "J": [1, 1]}]),
+     ("--from", "tuples-i", "--l", "1", "--m", "2", "--n", "2"),
+     3, "invalid input: tuples-i: "),
+    (json.dumps([["2"]]),
+     ("--from", "tuples-k", "--l", "1", "--m", "2", "--n", "2"),
+     3, "invalid input: tuples-k: "),
+    (json.dumps({"config": XI2_IMAGE, "va": [[2, "0", 0]]}), ("--from", "xi2"),
+     3, "invalid input: xi2: "),
 ], ids=["va-pair", "va-empty", "xi2-off-grid", "dumont-l0", "tuples-i-l0",
-        "tuples-k-l0", "json-too-deep", "json-number-too-long"])
+        "tuples-k-l0", "json-too-deep", "json-number-too-long",
+        "config-string-and-fraction", "config-bool-size", "config-bool-row",
+        "dumont-string", "tuples-i-fraction", "tuples-k-string", "xi2-string"])
 def test_convert_sends_each_input_fault_to_an_exit_code(
         capsys, monkeypatch, text, argv, code, err):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

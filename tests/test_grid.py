@@ -154,6 +154,14 @@ def test_validation_errors():
         Config(p, ((1, 2), (2, 3)))
 
 
+def test_a_wrong_column_count_is_rejected_before_the_mask_is_built():
+    before = Params.windows.cache_info()
+    with pytest.raises(ColumnCountViolation):
+        Config.from_json_dict({"l": 100_000, "m": 2, "n": 1, "columns": []})
+    after = Params.windows.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
 def test_json_roundtrip():
     d = EXAMPLE_232.to_json_dict()
     assert d == {"l": 2, "m": 3, "n": 2,
@@ -321,6 +329,44 @@ def test_switch_decomposition_232_needs_detours():
     steps = switch_decomposition(EXAMPLE_232)
     assert len(steps) > diff and (len(steps) - diff) % 2 == 0
     assert replay_switches(p, steps) == EXAMPLE_232
+
+
+def switch_distances(p: Params) -> dict:
+    """Breadth-first distance from ``lowest(p)`` to every configuration of
+    ``p``, over every unit switch (each is its own inverse)."""
+    steps = [SwitchStep(i1, i2, j1, j2)
+             for i1, i2 in itertools.combinations(range(1, p.rows + 1), 2)
+             for j1, j2 in itertools.combinations(range(1, p.cols + 1), 2)]
+    frontier = [lowest(p)]
+    dist = {frontier[0]: 0}
+    while frontier:
+        reached = []
+        for c in frontier:
+            for step in steps:
+                nxt = elementary_switch(c, step)
+                if nxt is not None and nxt not in dist:
+                    dist[nxt] = dist[c] + 1
+                    reached.append(nxt)
+        frontier = reached
+    return dist
+
+
+@pytest.mark.parametrize("lmn", [(2, 3, 2), (2, 2, 3)])
+def test_switch_decomposition_is_a_shortest_staircase(lmn):
+    p = Params(*lmn)
+    dist = switch_distances(p)
+    configs = list(enumerate_configs(p))
+    assert len(dist) == len(configs)
+    for c in configs:
+        assert len(switch_decomposition(c)) == dist[c]
+
+
+def test_switch_decomposition_finds_the_monotone_staircase():
+    # six falling switches reach the lowest configuration, but the first
+    # falling switch in lexicographic order leads to a dead end
+    c = Config(Params(2, 3, 2), ((1, 2, 3), (1, 4, 5), (2, 5, 6), (3, 4, 6)))
+    assert inversions(c) - inv_lowest(c.params) == 6
+    assert len(switch_decomposition(c)) == 6
 
 
 @pytest.mark.parametrize("lmn", [(2, 3, 2), (2, 2, 3)])
