@@ -13,8 +13,8 @@ letters of ``grid.labelling``, which never move.
 
 One backtracking search, ``lifts``, finds such lifts.  It places the value
 classes in order, deals each class over the blocks in ascending parts, and
-cuts a branch as soon as a column word it completes fails.  It has two
-modes:
+tests each value it places as the next letter of its column word, so a
+branch is cut at the first letter that fails.  It has two modes:
 
 * given sigma, the blocks of each class are fixed by sigma, and
   ``recover_pi`` takes lifts until it has two (a second raises
@@ -170,54 +170,82 @@ def column_words(pi: Word, params: Params) -> list[Word]:
             for p in range(params.l * params.n)]
 
 
+def letter_follows(letter, prev, first) -> bool:
+    """Whether a column-word letter may follow the letters before it under
+    the parity property.  A letter is a pair (parity of its block, its
+    position); prev is the letter just before it, first the word's first.
+
+    The parities must be sorted and equal parities must increase, which is
+    prev < letter; once a word has started with an even letter, every odd
+    letter must also come before that first one.  Folded over a word from
+    its second letter, this holds exactly when ``parity_property`` does.
+    """
+    return prev < letter and (letter[0] <= first[0] or letter[1] < first[1])
+
+
 @lru_cache(maxsize=None)
-def _column_tests(params: Params) -> tuple[tuple, tuple[int, ...]]:
-    """The constants of the column test: for each value class, the columns
-    it completes (value range and window), and the grid row that every
-    position's block names (0, outside every window, for a pinned block)."""
+def _letter_tests(params: Params) -> tuple[tuple, tuple]:
+    """The constants of the letter test.  For each position s: the grid row
+    that its block names (0, outside every window, for a pinned block) and
+    its letter (parity of its block, s).  For each value: the column word it
+    belongs to, as (its first value, window lo, window hi), or None for a
+    value outside every column."""
     l, m, r = params.l, params.m, params.prefix_len
-    half = params.num_values
-    # column p reads the values r + pm + 1 .. r + (p+1)m, so it is
-    # complete once the class of its top value is placed
-    ready: list[list] = [[] for _ in range(half + 1)]
-    for p in range(params.cols):
-        ready[(r + (p + 1) * m + l - 1) // l].append(
-            (range(r + p * m + 1, r + (p + 1) * m + 1), *params.window(p + 1)))
     rows_by_label = params.rows_by_label()
-    row_at = (0,) + tuple(rows_by_label[s // l + 1] for s in range(params.word_len))
-    return tuple(map(tuple, ready)), row_at
+    at = [None] * (params.word_len + 1)
+    for s in range(1, params.word_len + 1):
+        b = (s + l - 1) // l
+        at[s] = (rows_by_label[b], (b % 2, s))
+    # column p reads the values r + pm + 1 .. r + (p+1)m
+    column_of = [None] * (params.word_len + 1)
+    for p in range(params.cols):
+        first = r + p * m + 1
+        column_of[first:first + m] = [(first, *params.window(p + 1))] * m
+    return tuple(at), tuple(column_of)
 
 
 def lifts(params: Params, sigma=None) -> Iterator[Word]:
-    """Every block-increasing lift pi whose column words pass the column
+    """Every block-increasing lift pi whose column words pass the letter
     test, found by one backtracking search over the value classes.
 
     Class k holds the values (k-1)l+1 .. kl.  For k = 1 .. L/l in turn the
     search chooses how many of the class's values each block takes (its
     share), deals the values out over those blocks (each block's part
-    ascending, filling the block left to right) and tests every column
-    word the class completes: m distinct rows, all inside the column's
-    window, and the parity property.
+    ascending, filling the block left to right) and tests each value it
+    placed, in order, as the next letter of its column word: its row must
+    lie in the column's window and differ from the rows of the earlier
+    letters, and ``letter_follows`` must hold.  A branch is cut at the first
+    letter that fails.
 
-    With sigma, a generalized permutation whose blocks are weakly
-    increasing (``recover_pi`` checks both), letter k of sigma fixes the
-    share, and the lifts of sigma come out in lexicographic order.  Without
-    sigma a pinned class fills its pinned block and any other class goes to
-    unpinned blocks with room, which yields every lift of every pinned word
-    with weakly increasing blocks.
+    With sigma, letter k of sigma fixes the share, and the lifts of sigma
+    come out in lexicographic order.  Sigma must be a generalized
+    permutation of order L (else NoValidPi), hold the pinned values (else
+    PinViolation) and have weakly increasing blocks (else NoValidPi); these
+    are checked when ``lifts`` is called.  Without sigma a pinned class
+    fills its pinned block and any other class goes to unpinned blocks
+    with room, which yields every lift of every pinned word with weakly
+    increasing blocks.
     """
-    l, m = params.l, params.m
+    l = params.l
     half = params.num_values
-    ready, row_at = _column_tests(params)
+    at, column_of = _letter_tests(params)
     # the classes whose share is fixed: all of them when sigma is given
     if sigma is None:
         pins = pinned_blocks(params)
         fixed = {v: [(p, l)] for p, v in pins.items()}
         free = [p for p in range(half) if p not in pins]
     else:
+        sigma = tuple(sigma)
+        L = params.word_len
+        if len(sigma) != L or not is_gen_perm(sigma, l):
+            raise NoValidPi(f"not a generalized permutation of order {L}")
+        check_pins(sigma, params)
         fixed = {}
         for p in range(half):
-            for k, group in groupby(sigma[p * l:(p + 1) * l]):
+            blk = sigma[p * l:(p + 1) * l]
+            if any(a > b for a, b in zip(blk, blk[1:])):
+                raise NoValidPi(f"block {blk} at position {p * l + 1} not increasing")
+            for k, group in groupby(blk):
                 fixed.setdefault(k, []).append((p, len(tuple(group))))
     pi = [0] * params.word_len
     inv = [0] * (params.word_len + 1)  # inv[v] = position of value v (1-based)
@@ -242,17 +270,23 @@ def lifts(params: Params, sigma=None) -> Iterator[Word]:
                 for part in combinations(values, c)
                 for tail in deal(tuple(v for v in values if v not in part), rest)]
 
-    def columns_ok(k: int) -> bool:
-        for values, w_lo, w_hi in ready[k]:
-            word = [inv[v] for v in values]
+    def letters_ok(values: tuple[int, ...]) -> bool:
+        for v in values:
+            column = column_of[v]
+            if column is None:
+                continue
+            first, w_lo, w_hi = column
             # each letter of a column word names one value class, and the
             # classes beyond the pinned ones are in bijection with grid
             # rows: a genuine column has m distinct rows, all inside the
             # column's window (for l = 1, m = 2 this is the classical
             # Dumont inequality)
-            rows = {row_at[s] for s in word}
-            if (len(rows) < m or min(rows) < w_lo or max(rows) > w_hi
-                    or not parity_property(word, l, m)):
+            row, letter = at[inv[v]]
+            if not w_lo <= row <= w_hi:
+                return False
+            if v > first and (any(at[inv[u]][0] == row for u in range(first, v))
+                              or not letter_follows(letter, at[inv[v - 1]][1],
+                                                    at[inv[first]][1])):
                 return False
         return True
 
@@ -270,33 +304,24 @@ def lifts(params: Params, sigma=None) -> Iterator[Word]:
                         inv[v] = slot + 1
                         slot += 1
                     room[p] -= len(part)
-                if columns_ok(k):
+                if letters_ok(values):
                     yield from search(k + 1)
                 for p, part in split:
                     room[p] += len(part)
 
-    yield from search(1)
+    return search(1)
 
 
 def recover_pi(sigma, params: Params) -> Word:
     """Find the unique increasing-block, parity-respecting lift of sigma.
 
-    Raises PinViolation / NoValidPi / ParityViolation / AmbiguousLift when
-    sigma is not a normalized Dumont permutation.
+    Raises the word-shape errors of ``lifts`` (NoValidPi, PinViolation),
+    then ParityViolation when no lift passes and AmbiguousLift when two do:
+    sigma is then not a normalized Dumont permutation.
     """
     sigma = tuple(sigma)
-    l = params.l
-    L = params.word_len
-    if len(sigma) != L or not is_gen_perm(sigma, l):
-        raise NoValidPi(f"not a generalized permutation of order {L}")
-    check_pins(sigma, params)
-    # blocks of sigma must already be weakly increasing
-    for p in range(0, L, l):
-        blk = sigma[p:p + l]
-        if any(a > b for a, b in zip(blk, blk[1:])):
-            raise NoValidPi(f"block {blk} at position {p + 1} not increasing")
     # every weakly increasing block word has a block-increasing lift, so an
-    # empty search means each one failed a column test
+    # empty search means each one failed a letter test
     found = list(islice(lifts(params, sigma), 2))
     if not found:
         raise ParityViolation(

@@ -1,6 +1,8 @@
 """Tests for generalized permutations, Dumont acceptance, and st."""
 
 import itertools
+from collections import defaultdict
+from functools import lru_cache
 
 import pytest
 
@@ -20,6 +22,7 @@ from dellac.words import (
     is_gen_dumont,
     is_normalized_dumont,
     is_normalized_dumont_12,
+    letter_follows,
     lifts,
     parity_property,
     pinned_blocks,
@@ -144,7 +147,7 @@ def test_rejections():
     ((1, 3, 1), 1), ((1, 3, 2), 6),
     # fewer words than the 20 and 70 configurations: dStd^l merges lifts
     ((3, 2, 2), 4), ((4, 2, 2), 6),
-    ((2, 3, 2), 90), ((1, 2, 5), 295),
+    ((2, 3, 2), 90), ((1, 2, 5), 295), ((1, 6, 2), 252),
 ])
 def test_enumerate_normalized_dumont_counts(lmn, count):
     p = Params(*lmn)
@@ -203,7 +206,7 @@ def pinned_block_words(p):
     (1, 3, 1), (1, 3, 2), (2, 3, 1), (3, 2, 2),
 ])
 def test_entry_bound_pruning_is_complete(lmn):
-    # the lift search cuts a branch as soon as a column word fails, so it
+    # the lift search cuts a branch as soon as a letter fails, so it
     # must find the same words as generate-and-test over every candidate
     # (the name is that of the entry-bound prune this test first checked)
     p = Params(*lmn)
@@ -211,18 +214,83 @@ def test_entry_bound_pruning_is_complete(lmn):
     assert reference == list(enumerate_normalized_dumont(p))
 
 
-# every (l, m, n) with l*m*n <= 8 except (1, 8, 1), whose search alone takes
-# about a second, and four larger sets
-LIFT_PARAMS = [(l, m, n) for l in range(1, 9) for m in range(2, 9) for n in range(1, 9)
-               if l * m * n <= 8 and (l, m, n) != (1, 8, 1)]
-LIFT_PARAMS += [(3, 2, 2), (2, 3, 2), (2, 2, 3), (1, 2, 5)]
+# every (l, m, n) with l*m*n <= 12
+SMALL_SETS = [(l, m, n) for l in range(1, 13) for m in range(2, 13) for n in range(1, 13)
+              if l * m * n <= 12]
 
 
-@pytest.mark.parametrize("lmn", LIFT_PARAMS)
+@lru_cache(maxsize=None)
+def lifts_by_image(lmn):
+    """varphi image -> the sorted lifts phi(c) of the configurations that
+    map to it."""
+    p = Params(*lmn)
+    out = defaultdict(list)
+    for c in enumerate_configs(p):
+        pi = phi_word(c)
+        out[destandardize(pi, p.l)].append(pi)
+    return {sigma: sorted(pis) for sigma, pis in out.items()}
+
+
+@pytest.mark.parametrize("lmn", SMALL_SETS)
 def test_lifts_are_the_phi_images(lmn):
     # the word engine's search, run without a word, lists exactly the
     # permutation lifts phi(c) of the configurations; at (3,2,2) some of
     # these share a word after dStd^l, so the shortfall of normalized Dumont
     # words there comes from that step alone
     p = Params(*lmn)
-    assert sorted(lifts(p)) == sorted(phi_word(c) for c in enumerate_configs(p))
+    assert sorted(lifts(p)) == sorted(pi for pis in lifts_by_image(lmn).values() for pi in pis)
+
+
+@pytest.mark.parametrize("lmn", SMALL_SETS)
+def test_lifts_of_a_word_are_its_phi_preimages_in_order(lmn):
+    # given a word, the search lists every lift phi(c) of it, in
+    # lexicographic order; at (3,2,2) and beyond colliding words have two
+    p = Params(*lmn)
+    for sigma, pis in lifts_by_image(lmn).items():
+        assert list(lifts(p, sigma)) == pis
+
+
+@pytest.mark.parametrize("lmn", SMALL_SETS)
+def test_normalized_dumont_words_are_the_single_preimage_images(lmn):
+    # the enumerator, which never builds a configuration, finds exactly the
+    # varphi images with one preimage: fewer words than configurations
+    # wherever varphi collides, as at (3,2,2)
+    singles = {sigma for sigma, pis in lifts_by_image(lmn).items() if len(pis) == 1}
+    assert set(enumerate_normalized_dumont(Params(*lmn))) == singles
+
+
+@pytest.mark.parametrize("sigma,error", [
+    ((9,) * 6, NoValidPi),                # lacks every letter
+    ((1, 2), NoValidPi),                  # too short
+    ((3, 1, 5, 2, 6, 4, 7), NoValidPi),   # too long
+    ((1, 1, 2, 3, 4, 5), NoValidPi),      # a letter twice, one missing
+    ((4, 2, 5, 1, 6, 3), PinViolation),
+])
+def test_lifts_rejects_a_malformed_word(sigma, error):
+    with pytest.raises(error):
+        lifts(Params(1, 2, 2), sigma)
+    with pytest.raises(error):
+        recover_pi(sigma, Params(1, 2, 2))
+
+
+def test_lifts_checks_pins_before_blocks():
+    p = Params(2, 2, 2)
+    # block 0 decreases
+    with pytest.raises(NoValidPi):
+        lifts(p, (5, 4, 1, 1, 4, 5, 2, 3, 6, 6, 2, 3))
+    # block 1 decreases and breaks its pin: the pin is reported
+    with pytest.raises(PinViolation):
+        lifts(p, (1, 5, 4, 1, 4, 5, 2, 3, 6, 6, 2, 3))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_letter_rule_folds_to_the_parity_property(l, m):
+    # the search tests the parity property one letter at a time; over every
+    # word of distinct positions in 1..12 the fold must agree with the
+    # predicate as the paper states it
+    for word in itertools.permutations(range(1, 13), m):
+        letters = [((s + l - 1) // l % 2, s) for s in word]
+        folded = all(letter_follows(a, b, letters[0])
+                     for b, a in zip(letters, letters[1:]))
+        assert folded == parity_property(word, l, m), word
