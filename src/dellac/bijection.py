@@ -6,6 +6,29 @@ modulo blocks (phi3 = dStd^l o phi2).  The composite varphi = phi3 o phi1
 lands on normalized Dumont permutations, and psi inverts it via the unique
 lift.  The statistic identity st(varphi(c)) = C(L/2, 2) - inv(c) ties the
 two sides together.
+
+What holds is narrower than a bijection on all configurations: varphi is a
+bijection from the configurations whose image has one preimage onto the
+normalized Dumont words (pinned on every set with l*m*n <= 12).  For
+l = 1 that is every configuration.  The counts at l >= 2:
+
+=============================  =====================  =========  ==========
+set                            configurations         images     one
+                                                                 preimage
+=============================  =====================  =========  ==========
+(2,2,2), (2,2,3), (2,2,4),     6; 147; 10,486;        all        all
+(2,2,5)                        1,685,883              distinct
+(2,3,2), (2,4,2), (2,5,2),     90; 1,860; 44,730;     all        all
+(2,6,2)                        1,172,556              distinct
+(3,3,2)                        1,860                  1,860      1,860
+(3,2,2)                        20                     10         4
+(4,2,2)                        70                     19         6
+(5,2,2)                        252                    28         4
+(3,2,3)                        4,273                  917        91
+(2,3,3)                        128,850                127,050    125,250
+(3,4,2)                        297,200                293,500    289,840
+(4,3,2)                        44,730                 14,402     4,671
+=============================  =====================  =========  ==========
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ the inverse a membership test.
 
 ``xi2`` rewrites the dot permutation tau of a single-dot-per-row
 configuration into that of a two-dots-per-column one.  Every value a that is
-neither 0 nor 1 modulo m gets a duplicate inserted right after it, and the
-letters a inverts with are shifted cyclically around the pair; the counts
-v_a = (#InvL, #InvR) recorded per value make the rewriting reversible.
+neither 0 nor 1 modulo m is split into a1 a2, and the letters a inverts with
+are shifted cyclically around the pair: two rotations, one chain of slots on
+each side.  A rotation keeps its slot set, so the counts v_a = (#InvL, #InvR)
+recorded per value locate both chains in the image, and running the
+rotations backwards undoes the pass.
 """
 
 from __future__ import annotations
@@ -71,29 +73,26 @@ def duplicated_values(m: int, n: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, m * n + 1) if a % m not in (0, 1))
 
 
+def _rotate(word: list[Letter], chain: Sequence[int], k: int) -> None:
+    """Move the letter in each slot of ``chain`` k slots along it,
+    cyclically, in place."""
+    letters = [word[s] for s in chain]
+    for i, letter in enumerate(letters):
+        word[chain[(i + k) % len(chain)]] = letter
+
+
 def _step(word: list[Letter], a: int) -> tuple[list[Letter], tuple[int, int]]:
-    """One rewriting pass: split a into a1 a2, then shift the letters it
-    inverts with cyclically around the pair."""
-    i = word.index((a, 0))
-    word = word[:i] + [(a, 1), (a, 2)] + word[i + 1:]
-    r = i + 1  # 1-based position of a1; a2 sits at r + 1
-    inv_l = [s for s in range(1, r) if word[s - 1][0] > a]
-    inv_r = [s for s in range(r + 2, len(word) + 1) if word[s - 1][0] < a]
-    out = list(word)
-    if inv_l:
-        # a2 takes the leftmost offender's slot, the offenders rotate right
-        # and the last one lands just after the pair
-        for prev, cur in zip(inv_l, inv_l[1:]):
-            out[cur - 1] = word[prev - 1]
-        out[r] = word[inv_l[-1] - 1]
-        out[inv_l[0] - 1] = (a, 2)
-    if inv_r:
-        # mirror image: a1 takes the rightmost offender's slot
-        for cur, nxt in zip(inv_r, inv_r[1:]):
-            out[cur - 1] = word[nxt - 1]
-        out[r - 1] = word[inv_r[0] - 1]
-        out[inv_r[-1] - 1] = (a, 1)
-    return out, (len(inv_l), len(inv_r))
+    """One rewriting pass: split a into a1 a2 at slots r, r + 1, then turn
+    the left chain (the slots left of r holding letters above a, then r + 1)
+    by +1 and the right chain (r, then the slots right of r + 1 holding
+    letters below a) by -1.  v_a counts the offenders in each chain."""
+    r = word.index((a, 0))
+    word = word[:r] + [(a, 1), (a, 2)] + word[r + 1:]
+    left = [s for s in range(r) if word[s][0] > a] + [r + 1]
+    right = [r] + [s for s in range(r + 2, len(word)) if word[s][0] < a]
+    _rotate(word, left, 1)
+    _rotate(word, right, -1)
+    return word, (len(left) - 1, len(right) - 1)
 
 
 def _standardize(word: Sequence[Letter]) -> tuple[int, ...]:
@@ -146,68 +145,28 @@ def xi2(c: Config) -> tuple[Config, VAData]:
 def undo_step(
     word: Sequence[Letter], a: int, t: int, u: int
 ) -> list[Letter] | None:
-    """Reverse one rewriting pass, given v_a = (t, u).
+    """Reverse one rewriting pass, given v_a = (t, u), or None.
 
-    Returns the earlier word with the duplicate of a removed, or None when
-    no pre-image replays to ``word`` under :func:`_step`.  The counts t and
-    u pin down where a1 and a2 came from, which is what makes distinct v_a
-    decode the same word differently.
+    The left chain is a2's slot and the first t slots after it holding
+    letters above a; it ends at r + 1.  The right chain is r, the slots
+    between r + 1 and a1's slot holding letters below a, and a1's slot (r
+    itself when u = 0).  Both turn back and the pair merges into a; the
+    result counts only if :func:`_step` replays it to ``word`` and (t, u).
     """
     word = list(word)
     if (a, 1) not in word or (a, 2) not in word:
         return None
-    p1 = word.index((a, 1)) + 1
-    p2 = word.index((a, 2)) + 1
-    found = []
-    for r in range(1, len(word)):
-        pre = _undo_at(word, a, t, u, r, p1, p2)
-        if pre is None:
-            continue
-        base = pre[:r - 1] + [(a, 0)] + pre[r + 1:]
-        if _step(base, a) == (word, (t, u)):
-            found.append(base)
-    if len(found) == 1:
-        return found[0]
-    return None
-
-
-def _undo_at(
-    word: list[Letter], a: int, t: int, u: int, r: int, p1: int, p2: int
-) -> list[Letter] | None:
-    """Candidate pre-image with the pair a1 a2 at positions r, r + 1."""
+    p1, p2 = word.index((a, 1)), word.index((a, 2))
+    left = [p2] + [s for s in range(p2 + 1, len(word)) if word[s][0] > a][:t]
+    r = left[-1] - 1
+    if r < 0:
+        return None
+    right = [r] + [s for s in range(r + 2, p1) if word[s][0] < a] + [p1]
     pre = list(word)
-    if t == 0:
-        if p2 != r + 1:
-            return None
-    else:
-        # a2 ended on the leftmost in-left-inversion slot, so everything
-        # greater than a before it would have been shifted too
-        if p2 >= r:
-            return None
-        mids = [s for s in range(p2 + 1, r) if word[s - 1][0] > a]
-        if len(mids) != t - 1 or any(word[s - 1][0] > a for s in range(1, p2)):
-            return None
-        b = [p2] + mids
-        for prev, cur in zip(b, b[1:]):
-            pre[prev - 1] = word[cur - 1]
-        pre[b[-1] - 1] = word[r]
-    if u == 0:
-        if p1 != r:
-            return None
-    else:
-        if p1 <= r + 1:
-            return None
-        mids = [s for s in range(r + 2, p1) if word[s - 1][0] < a]
-        if len(mids) != u - 1 or any(
-                word[s - 1][0] < a for s in range(p1 + 1, len(word) + 1)):
-            return None
-        c = mids + [p1]
-        for cur, nxt in zip(c, c[1:]):
-            pre[nxt - 1] = word[cur - 1]
-        pre[c[0] - 1] = word[r - 1]
-    pre[r - 1] = (a, 1)
-    pre[r] = (a, 2)
-    return pre
+    _rotate(pre, left, -1)
+    _rotate(pre, right, 1)
+    base = pre[:r] + [(a, 0)] + pre[r + 2:]
+    return base if _step(base, a) == (word, (t, u)) else None
 
 
 def xi2_inverse(

@@ -1,5 +1,7 @@
 """Tests for the inversion-preserving embeddings xi1 and xi2."""
 
+from itertools import permutations
+
 import pytest
 
 from dellac.grid import Config, Params, count_configs, enumerate_configs, inversions, tau_of
@@ -116,6 +118,24 @@ def test_undo_step_decodes_by_va():
     assert undo_step(word, 8, 2, 2) == plain([11, 2, 12, 8, 3, 4])
     assert undo_step(word, 8, 1, 3) == plain([11, 8, 2, 12, 3, 4])
     assert undo_step(word, 8, 2, 1) is None
+
+
+def test_undo_step_inverts_step_on_every_short_word():
+    # every permutation of 1..N (N <= 6), every letter a, every (t, u) in
+    # 0..N: the true v_a gives the word back, any other is None or a word
+    # that replays to the image under that v_a
+    for size in range(1, 7):
+        for perm in permutations(range(1, size + 1)):
+            word = plain(perm)
+            for a in perm:
+                image, va = _step(word, a)
+                for t in range(size + 1):
+                    for u in range(size + 1):
+                        back = undo_step(image, a, t, u)
+                        if (t, u) == va:
+                            assert back == word
+                        elif back is not None:
+                            assert _step(back, a) == (image, (t, u))
 
 
 @pytest.mark.parametrize("lmn", [(1, 3, 2), (1, 3, 3)])

@@ -199,8 +199,8 @@ def test_extremal_closed_forms(lmn):
 ])
 def test_block_stack_is_not_always_the_minimum(lmn, columns):
     # Two staggered configurations sit one inversion below the block stack.
-    # Sweeps at every other enumerable shape found no further violations;
-    # the maximum side held everywhere.
+    # The transfer's lowest degree also undercuts it at (2,3,4), (3,2,4),
+    # (2,4,3) and (4,2,3); the maximum side held everywhere.
     p = Params(*lmn)
     witness = Config(p, columns)
     assert inversions(witness) == inv_lowest(p) - 1 == 8
