@@ -408,7 +408,7 @@ def tau_of(c: Config) -> tuple[int, ...]:
 # Elementary switches
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SwitchStep:
     """A unit two-dot exchange on the rectangle (low_row, high_row) x
     (low_col, high_col)."""
@@ -419,41 +419,36 @@ class SwitchStep:
     high_col: int
 
 
-def elementary_switch(c: Config, step: SwitchStep) -> Optional[Config]:
-    """Exchange rows low_row and high_row between columns low_col and
-    high_col: the new configuration if that is a unit switch (each column
-    holds one of the two rows, not the same one; the closed rectangle holds
-    no dot but those two corners, so the inversion count changes by one;
-    the dots stay inside their windows), else None."""
-    i1, i2, j1, j2 = step.low_row, step.high_row, step.low_col, step.high_col
-    if not (i1 < i2 and 1 <= j1 < j2 <= len(c.columns)):
+def _switch(cols: Columns, windows: Windows, i1: int, i2: int, j1: int,
+            j2: int) -> Optional[Columns]:
+    """``cols`` with rows i1 and i2 exchanged between columns j1 and j2 if
+    that is a unit switch (each column holds one of the two rows, not the
+    same one; the closed rectangle holds no dot but those two corners, so
+    the inversion count changes by one; the moved dots stay inside their
+    windows), else None."""
+    if not (i1 < i2 and 1 <= j1 < j2 <= len(cols)):
         return None
     pair = {i1: i2, i2: i1}
-    cols = list(c.columns)
     held = [pair.keys() & cols[j - 1] for j in (j1, j2)]
     if len(held[0]) != 1 or len(held[1]) != 1 or held[0] == held[1]:
         return None
     if sum(i1 <= i <= i2 for col in cols[j1 - 1:j2] for i in col) != 2:
         return None
-    for j in (j1, j2):
-        cols[j - 1] = tuple(sorted(pair.get(i, i) for i in cols[j - 1]))
-    try:
-        return Config(c.params, tuple(cols))
-    except WindowViolation:
-        return None
+    out = list(cols)
+    for j, (moved,) in zip((j1, j2), held):
+        lo, hi = windows[j - 1]
+        if not lo <= pair[moved] <= hi:
+            return None
+        out[j - 1] = tuple(sorted(pair.get(i, i) for i in cols[j - 1]))
+    return tuple(out)
 
 
-def _candidate_steps(c: Config) -> list[SwitchStep]:
-    """All step rectangles spanned by two dots in different rows and columns,
-    sorted.  Whether a step actually applies is decided by
-    ``elementary_switch``."""
-    dots = c.dots_column_major()
-    steps = set()
-    for r1, c1 in dots:
-        for r2, c2 in dots:
-            if r1 < r2 and c1 != c2:
-                steps.add(SwitchStep(r1, r2, min(c1, c2), max(c1, c2)))
-    return sorted(steps)
+def elementary_switch(c: Config, step: SwitchStep) -> Optional[Config]:
+    """The configuration after ``step`` if it is a unit switch (see
+    ``_switch``), else None."""
+    cols = _switch(c.columns, c.params.windows(), step.low_row,
+                   step.high_row, step.low_col, step.high_col)
+    return None if cols is None else Config(c.params, cols)
 
 
 def switch_decomposition(c: Config) -> list[SwitchStep]:
@@ -472,9 +467,11 @@ def switch_decomposition(c: Config) -> list[SwitchStep]:
     (2,3,3), (3,2,3), (2,3,4), (3,2,4), (2,4,3) and (4,2,3) some
     configurations lie below the lowest one (see ``lowest``).  Ties
     go to fewer inversions, then to the smaller columns, so the staircase is
-    deterministic.
+    deterministic.  A step adds one inversion when the left column holds
+    the lower row, and takes one away otherwise.
     """
     p = c.params
+    windows = p.windows()
     target, goal = lowest(p).columns, inv_lowest(p)
     # columns -> (steps from c, previous columns, the step from them)
     best: dict[Columns, tuple[int, Optional[Columns], Optional[SwitchStep]]] = {
@@ -492,14 +489,17 @@ def switch_decomposition(c: Config) -> list[SwitchStep]:
             return path[::-1]
         if g > best[cols][0]:
             continue  # reached again by a shorter staircase
-        cur = Config(p, cols)
-        for step in _candidate_steps(cur):
-            nxt = elementary_switch(cur, step)
-            if nxt is None or nxt.columns in best and best[nxt.columns][0] <= g + 1:
-                continue
-            best[nxt.columns] = (g + 1, cols, step)
-            nxt_inv = inversions(nxt)
-            heappush(heap, (g + 1 + abs(nxt_inv - goal), nxt_inv, nxt.columns))
+        for j1, left in enumerate(cols, start=1):
+            for j2 in range(j1 + 1, len(cols) + 1):
+                for a in left:
+                    for b in cols[j2 - 1]:
+                        i1, i2 = min(a, b), max(a, b)
+                        nxt = _switch(cols, windows, i1, i2, j1, j2)
+                        if nxt is None or nxt in best and best[nxt][0] <= g + 1:
+                            continue
+                        best[nxt] = (g + 1, cols, SwitchStep(i1, i2, j1, j2))
+                        nxt_inv = inv + (1 if a < b else -1)
+                        heappush(heap, (g + 1 + abs(nxt_inv - goal), nxt_inv, nxt))
     raise RuntimeError(f"lowest configuration unreachable from {c}")
 
 

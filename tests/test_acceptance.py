@@ -173,39 +173,42 @@ def test_11_rational_count_expansions():
              (Fraction(2, 21), 5, (4, 2, 1))])
 
 
+# every set the transfer counts at once, without listing a configuration
+EXTREMAL_SETS = [(l, m, n) for l in range(1, 10) for m in range(2, 10)
+                 for n in range(1, 10) if l * m * n <= 18]
+
+
+def inversion_coeffs(p):
+    return window_poly(p.windows(), p.l, p.m).coeffs
+
+
+def test_12_extremal_ends_are_unique():
+    # the closed forms hold, one configuration attains the minimum, and the
+    # maximum is attained by highest alone
+    assert len(EXTREMAL_SETS) == 64
+    for lmn in EXTREMAL_SETS:
+        p = Params(*lmn)
+        assert inversions(lowest(p)) == inv_lowest(p), lmn
+        assert inversions(highest(p)) == inv_highest(p), lmn
+        coeffs = inversion_coeffs(p)
+        assert next(a for a in coeffs if a) == 1, lmn
+        assert len(coeffs) - 1 == inv_highest(p) and coeffs[-1] == 1, lmn
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the block-stacked configuration is not the inversion minimum at "
            "(2,3,3) and (3,2,3): one staggered configuration sits at 8 < 9 "
-           "in each, so unique-minimum cannot hold there (the closed forms "
-           "and the maximum side hold everywhere)")
+           "in each")
 def test_12_extremal_configurations():
-    # the end coefficients of the inversion polynomial, uncapped: the
-    # transfer counts every set without listing a configuration
-    sets = [(l, m, n) for l in range(1, 10) for m in range(2, 10)
-            for n in range(1, 10) if l * m * n <= 18]
-    assert len(sets) == 64
-    violations = []
-    for lmn in sets:
+    # block-stacked is the minimum: the lowest degree is inv_lowest
+    below = {}
+    for lmn in EXTREMAL_SETS:
         p = Params(*lmn)
-        low, high = lowest(p), highest(p)
-        assert inversions(low) == inv_lowest(p), lmn
-        assert inversions(high) == inv_highest(p), lmn
-
-        least, most = inv_lowest(p), inv_highest(p)
-        coeffs = window_poly(p.windows(), p.l, p.m).coeffs
-        lowest_degree = next(k for k, a in enumerate(coeffs) if a)
-        if lowest_degree < least:
-            violations.append((lmn, "below the minimum", lowest_degree))
-        if len(coeffs) - 1 > most:
-            violations.append((lmn, "above the maximum", len(coeffs) - 1))
-        at_min = coeffs[least] if least < len(coeffs) else 0
-        at_max = coeffs[most] if most < len(coeffs) else 0
-        if at_min != 1:
-            violations.append((lmn, "minimum not unique", at_min))
-        if at_max != 1:
-            violations.append((lmn, "maximum not unique", at_max))
-    assert violations == [], violations
+        least = next(k for k, a in enumerate(inversion_coeffs(p)) if a)
+        if least != inv_lowest(p):
+            below[lmn] = (least, inv_lowest(p))
+    assert below == {}, below
 
 
 def test_13_label_word_carries_the_statistics():

@@ -75,7 +75,7 @@ def test_normalize_drops_zeros_and_checks_order():
 
 def test_oplus_concatenates_and_validates():
     assert oplus((4, 3), (2,), (1, 1)) == (4, 3, 2, 1, 1)
-    assert oplus((2,), 0, ()) == (2,)
+    assert oplus((2,), ()) == (2,)
     with pytest.raises(ValueError):
         oplus((1,), (2,))
 
@@ -503,6 +503,8 @@ def test_pinned_row_needs_a_full_first_part():
         verify_recurrence("pinned-row", 3, lam=(1,))
     with pytest.raises(HypothesisViolated):
         verify_recurrence("free-row", 3, lam=(2,))
+    with pytest.raises(HypothesisViolated):   # no top row to expand
+        verify_recurrence("free-row", 0)
 
 
 def test_recurrence_suite_holds_up_to_four():
@@ -516,6 +518,8 @@ def test_recurrence_suite_holds_up_to_four():
 def test_six_term_instance():
     r = verify_recurrence("six-term", 4, lam=(2,), nu=(1,))
     assert r.ok
+    with pytest.raises(HypothesisViolated):   # a first part of n - 1 in nu
+        verify_recurrence("six-term", 3, lam=(), nu=(2,))
 
 
 def test_recurrence_spot_checks_at_six():

@@ -449,12 +449,14 @@ def test_verify_genocchi(capsys):
 
 
 def test_verify_recurrences(capsys):
-    code, out = run(capsys, "verify", "recurrences", "--max-n", "4")
+    code, out = run(capsys, "verify", "recurrences", "--max-n", "6")
     assert code == 0
     rows = json_lines(out)
-    assert {row["identity"] for row in rows[:-1]} == {
-        "pinned-row", "free-row", "qtriple", "append-one",
-        "shift1", "shift2", "split-pair", "six-term"}
+    assert {row["identity"]: row["detail"] for row in rows[:-1]} == {
+        "append-one": "129 instances", "free-row": "132 instances",
+        "pinned-row": "64 instances", "qtriple": "23 instances",
+        "shift1": "98 instances", "shift2": "286 instances",
+        "six-term": "562 instances", "split-pair": "111 instances"}
     assert all(row["status"] == "pass" for row in rows[:-1])
 
 
